@@ -30,24 +30,29 @@ int main(int argc, char** argv) {
   const std::uint64_t r = plan.shape().rows;
   const std::uint64_t m = plan.shape().cols;
 
-  util::aligned_vector<float> a(n, 1.f), b(n), s1(n), s2(n);
+  util::aligned_vector<float> a(n, 1.f), b(n), scratch(n);
 
   const double t_sched = bench::time_ms(
-      [&] { core::scheduled_cpu<float>(pool, plan, a, b, s1, s2); }, reps);
+      [&] { core::scheduled_cpu_lean<float>(pool, plan, a, b, scratch); }, reps);
+  core::BatchLane<float> lane{.a = a, .b = b, .scratch = scratch};
   const double t_direct = bench::time_ms(
-      [&] { core::scheduled_cpu_direct<float>(pool, plan, a, b, s1, s2); }, reps);
+      [&] {
+        core::scheduled_cpu_sweep<float>(pool, plan, std::span(&lane, 1), {},
+                                         core::RowKernel::kDirect);
+      },
+      reps);
   const double t_conv =
       bench::time_ms([&] { core::d_designated_cpu<float>(pool, a, b, p); }, reps);
 
   const double t_row = bench::time_ms(
       [&] {
-        cpu::row_wise_pass<float>(pool, a, s1, r, m, plan.pass1().phat, plan.pass1().q);
+        cpu::row_wise_pass<float>(pool, a, scratch, r, m, plan.pass1().phat, plan.pass1().q);
       },
       reps);
   const double t_row_direct = bench::time_ms(
-      [&] { cpu::row_wise_pass_direct<float>(pool, a, s1, r, m, plan.direct1()); }, reps);
+      [&] { cpu::row_wise_pass_direct<float>(pool, a, scratch, r, m, plan.direct1()); }, reps);
   const double t_transpose = bench::time_ms(
-      [&] { cpu::transpose_blocked<float>(pool, a, s1, r, m, mp.width); }, reps);
+      [&] { cpu::transpose_blocked<float>(pool, a, scratch, r, m, mp.width); }, reps);
 
   util::Table table({"variant", "ms", "vs conventional", "notes"});
   auto ratio = [&](double t) { return util::format_double(t / t_conv, 2) + "x"; };

@@ -215,7 +215,7 @@ void run_sweep(const perm::Permutation& p, std::uint64_t n, std::uint64_t lanes,
   };
   const auto sweep_fused = [&] {
     for (auto& lane : lane_views) lane.active = true;
-    core::scheduled_cpu_lean_batched<std::uint32_t>(
+    core::scheduled_cpu_sweep<std::uint32_t>(
         pool, *h->plan(), {lane_views.data(), lane_views.size()}, nullptr);
   };
   // One warm pass of each keeps first-touch page faults out of the

@@ -128,57 +128,43 @@ class OfflinePermuter {
   /// may execute the same compiled permuter on distinct (a, b, scratch)
   /// triples concurrently — the runtime executor's batched path.
   void permute(std::span<const T> a, std::span<T> b, std::span<T> scratch) const {
-    (void)permute_gated(a, b, scratch, PhaseGate{});
-  }
-
-  /// Gated variant of the const online phase: `gate` is consulted at
-  /// the boundaries between the strategy's sequential kernel launches
-  /// (the scheduled algorithm's five kernels; the conventional
-  /// strategies are a single kernel and only check up front). Returning
-  /// false stops the execution — the function then returns false and
-  /// `b`/`scratch` hold garbage. This is how the runtime executor
-  /// observes deadlines and cancellation mid-request without preempting
-  /// a running kernel.
-  [[nodiscard]] bool permute_gated(std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                                   const PhaseGate& gate) const {
-    return permute_timed(a, b, scratch, gate, KernelObserver{});
-  }
-
-  /// Timed variant of the gated const online phase: `observer` (when
-  /// non-empty) receives one (kernel index, wall ns) callback per
-  /// kernel launch that ran — indices 0..4 for the scheduled
-  /// algorithm's five launches, `kConventionalKernel` for the single
-  /// kernel of a conventional strategy. The serving layer uses this to
-  /// attribute request time to the paper's phase structure; an empty
-  /// observer skips all clock reads.
-  [[nodiscard]] bool permute_timed(std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                                   const PhaseGate& gate, const KernelObserver& observer) const {
     HMM_CHECK(a.size() == size() && b.size() == size());
-    auto& pool = util::ThreadPool::global();
-    const auto run_conventional = [&](auto&& kernel) {
-      if (gate && !gate()) return false;
-      if (observer) {
-        util::Stopwatch clock;
-        kernel();
-        observer(kConventionalKernel, static_cast<std::uint64_t>(clock.nanos()));
-      } else {
-        kernel();
-      }
-      return true;
-    };
-    switch (chosen_) {
-      case Strategy::kScheduled:
-        HMM_CHECK_MSG(scratch.size() == size(), "scheduled strategy needs n scratch elements");
-        return scheduled_cpu_lean_timed<T>(pool, *plan_, a, b, scratch, gate, observer);
-      case Strategy::kSDesignated:
-        return run_conventional([&] { s_designated_cpu<T>(pool, a, b, *inverse_); });
-      case Strategy::kDDesignated:
-        return run_conventional([&] { d_designated_cpu<T>(pool, a, b, perm_); });
-      case Strategy::kAuto:
-        break;
+    if (chosen_ == Strategy::kScheduled) {
+      HMM_CHECK_MSG(scratch.size() == size(), "scheduled strategy needs n scratch elements");
+      scheduled_cpu_lean<T>(util::ThreadPool::global(), *plan_, a, b, scratch);
+    } else {
+      run_conventional(a, b);
     }
-    HMM_CHECK_MSG(false, "unresolved strategy");
-    return false;
+  }
+
+  /// Gated, timed variant of the const online phase. `gate` is
+  /// consulted at the boundaries between the strategy's sequential
+  /// kernel launches (the scheduled algorithm's five kernels; the
+  /// conventional strategies are a single kernel and only check up
+  /// front). Returning false stops the execution — the function then
+  /// returns false and `b`/`scratch` hold garbage. This is how the
+  /// runtime executor observes deadlines and cancellation mid-request
+  /// without preempting a running kernel. `observer` (when non-empty)
+  /// receives one (kernel index, wall ns) callback per kernel launch
+  /// that ran — indices 0..4 for the scheduled algorithm's five
+  /// launches, `kConventionalKernel` for the single kernel of a
+  /// conventional strategy; an empty observer skips all clock reads.
+  [[nodiscard]] bool permute_timed(std::span<const T> a, std::span<T> b, std::span<T> scratch,
+                                   PhaseGate gate, const KernelObserver& observer) const {
+    HMM_CHECK(a.size() == size() && b.size() == size());
+    if (chosen_ == Strategy::kScheduled) {
+      HMM_CHECK_MSG(scratch.size() == size(), "scheduled strategy needs n scratch elements");
+      BatchLane<T> lane{.a = a, .b = b, .scratch = scratch, .gate = std::move(gate)};
+      scheduled_cpu_sweep<T>(util::ThreadPool::global(), *plan_,
+                             std::span<BatchLane<T>>(&lane, 1), observer);
+      return lane.active;
+    }
+    if (gate && !gate()) return false;
+    std::optional<util::Stopwatch> clock;
+    if (observer) clock.emplace();
+    run_conventional(a, b);
+    if (clock) observer(kConventionalKernel, static_cast<std::uint64_t>(clock->nanos()));
+    return true;
   }
 
   /// Online phase: b[P(i)] = a[i]. Reusable; `a` and `b` must not
@@ -216,6 +202,16 @@ class OfflinePermuter {
   }
 
  private:
+  /// The single kernel of a conventional strategy.
+  void run_conventional(std::span<const T> a, std::span<T> b) const {
+    auto& pool = util::ThreadPool::global();
+    if (chosen_ == Strategy::kSDesignated) {
+      s_designated_cpu<T>(pool, a, b, *inverse_);
+    } else {
+      d_designated_cpu<T>(pool, a, b, perm_);
+    }
+  }
+
   perm::Permutation perm_;
   model::MachineParams machine_;
   Strategy chosen_;

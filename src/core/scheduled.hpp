@@ -7,55 +7,18 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "core/plan.hpp"
 #include "cpu/kernels.hpp"
 #include "sim/hmm_sim.hpp"
+#include "util/aligned_vector.hpp"
 #include "util/stopwatch.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hmm::core {
-
-/// Execute the plan on the host backend. `scratch1`/`scratch2` are
-/// caller-provided ping-pong buffers of size n (kept out of the timed
-/// region by the benchmarks, like device buffers allocated once).
-template <class T>
-void scheduled_cpu(util::ThreadPool& pool, const ScheduledPlan& plan, std::span<const T> a,
-                   std::span<T> b, std::span<T> scratch1, std::span<T> scratch2) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch1.size() == n && scratch2.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  cpu::row_wise_pass<T>(pool, a, scratch1, r, m, plan.pass1().phat, plan.pass1().q);
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, r, m, tile);
-  cpu::row_wise_pass<T>(pool, scratch2, scratch1, m, r, plan.pass2().phat, plan.pass2().q);
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, m, r, tile);
-  cpu::row_wise_pass<T>(pool, scratch2, b, r, m, plan.pass3().phat, plan.pass3().q);
-}
-
-/// Memory-lean host variant: ping-pongs through the output buffer so a
-/// single scratch array suffices (the 2-scratch overload predates the
-/// observation that `b` can serve as one leg of the ping-pong).
-/// `a` must not alias `b` or `scratch`.
-template <class T>
-void scheduled_cpu_lean(util::ThreadPool& pool, const ScheduledPlan& plan,
-                        std::span<const T> a, std::span<T> b, std::span<T> scratch) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  cpu::row_wise_pass<T>(pool, a, b, r, m, plan.pass1().phat, plan.pass1().q);
-  cpu::transpose_blocked<T>(pool, b, scratch, r, m, tile);
-  cpu::row_wise_pass<T>(pool, scratch, b, m, r, plan.pass2().phat, plan.pass2().q);
-  cpu::transpose_blocked<T>(pool, b, scratch, m, r, tile);
-  cpu::row_wise_pass<T>(pool, scratch, b, r, m, plan.pass3().phat, plan.pass3().q);
-}
 
 /// Cooperative checkpoint between the five kernel launches: return
 /// false to stop the execution (deadline blown, request cancelled).
@@ -79,176 +42,123 @@ using KernelObserver = std::function<void(unsigned kernel, std::uint64_t ns)>;
 /// kernel of a conventional (non-scheduled) strategy.
 inline constexpr unsigned kConventionalKernel = 5;
 
-/// `scheduled_cpu_lean` with a gate consulted before every kernel after
-/// the first and an optional per-kernel timing observer. Returns true
-/// iff all five kernels ran to completion; empty gate and observer
-/// degenerate to the ungated, untimed variant (the Stopwatch reads are
-/// skipped entirely when no observer is installed).
-template <class T>
-bool scheduled_cpu_lean_timed(util::ThreadPool& pool, const ScheduledPlan& plan,
-                              std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                              const PhaseGate& gate, const KernelObserver& observer) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  util::Stopwatch clock;
-  const auto observe = [&](unsigned kernel) {
-    if (observer) {
-      observer(kernel, static_cast<std::uint64_t>(clock.nanos()));
-      clock.reset();
-    }
-  };
-
-  cpu::row_wise_pass<T>(pool, a, b, r, m, plan.pass1().phat, plan.pass1().q);
-  observe(0);
-  if (gate && !gate()) return false;
-  cpu::transpose_blocked<T>(pool, b, scratch, r, m, tile);
-  observe(1);
-  if (gate && !gate()) return false;
-  cpu::row_wise_pass<T>(pool, scratch, b, m, r, plan.pass2().phat, plan.pass2().q);
-  observe(2);
-  if (gate && !gate()) return false;
-  cpu::transpose_blocked<T>(pool, b, scratch, m, r, tile);
-  observe(3);
-  if (gate && !gate()) return false;
-  cpu::row_wise_pass<T>(pool, scratch, b, r, m, plan.pass3().phat, plan.pass3().q);
-  observe(4);
-  return true;
-}
-
-/// `scheduled_cpu_lean` with a gate consulted before every kernel after
-/// the first. Returns true iff all five kernels ran to completion; an
-/// empty gate degenerates to the ungated variant.
-template <class T>
-bool scheduled_cpu_lean_gated(util::ThreadPool& pool, const ScheduledPlan& plan,
-                              std::span<const T> a, std::span<T> b, std::span<T> scratch,
-                              const PhaseGate& gate) {
-  return scheduled_cpu_lean_timed<T>(pool, plan, a, b, scratch, gate, {});
-}
-
-/// One request ("lane") of a batched scheduled execution: distinct
+/// One request ("lane") of a scheduled execution: distinct
 /// (a, b, scratch) triples, one shared compiled plan. The per-lane
 /// `gate` is consulted at every kernel boundary; a lane gated off has
 /// `active` cleared and is excluded from the remaining kernels — its
-/// b/scratch hold garbage, exactly like a gated single execution — and
-/// the other lanes proceed unaffected.
+/// b/scratch hold garbage — and the other lanes proceed unaffected.
+/// `a` must not alias `b` or `scratch`.
 template <class T>
 struct BatchLane {
   std::span<const T> a;
   std::span<T> b;
   std::span<T> scratch;
-  PhaseGate gate;      ///< empty = never stops
+  PhaseGate gate{};    ///< empty = never stops
   bool active = true;  ///< in: lane participates; out: ran to completion
 };
 
-/// Batched online phase, the serving-side image of the paper's batching
-/// lemma: many permutations along the same plan amortize to optimal
-/// cost. All active lanes advance through each of the five kernels
-/// *together* — five fork/join barriers per batch instead of per
-/// request — and the plan's schedule arrays (p̂, q) are read once per
-/// kernel, staying hot in cache across every lane. `observer` fires
-/// once per kernel with the batch-wide span. Lanes report their outcome
-/// through `active` (true = all five kernels ran for that lane).
+/// Row-pass kernel of the five-pass driver.
+enum class RowKernel {
+  kSchedule,  ///< read the (p̂, q) schedule arrays, as the paper's GPU kernels do
+  kDirect,    ///< apply the plan's row permutations g directly (ablation baseline)
+};
+
+/// The online phase on the host backend: row pass, transpose, row
+/// pass, transpose, row pass over every active lane. Each lane
+/// ping-pongs through its output buffer, so one scratch array per lane
+/// suffices. With one live lane a kernel runs the single-matrix
+/// kernels (transpose tile = machine width); with more, all live lanes
+/// advance through the kernel *together* — one fork/join per kernel
+/// per batch, the plan's schedule arrays read once for every lane —
+/// the serving-side image of the paper's batching lemma. `observer`
+/// fires once per kernel that ran with its wall time (no clock is read
+/// without one); lane gates are consulted between kernels. Lanes
+/// report their outcome through `active` (true = all five kernels ran).
 template <class T>
-void scheduled_cpu_lean_batched(util::ThreadPool& pool, const ScheduledPlan& plan,
-                                std::span<BatchLane<T>> lanes,
-                                const KernelObserver& observer = {}) {
+void scheduled_cpu_sweep(util::ThreadPool& pool, const ScheduledPlan& plan,
+                         std::span<BatchLane<T>> lanes, const KernelObserver& observer = {},
+                         RowKernel row_kernel = RowKernel::kSchedule) {
   const std::uint64_t n = plan.size();
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  // Compact live-lane index list, rebuilt at every gate boundary so a
-  // dropped lane costs the remaining kernels nothing.
-  std::vector<std::size_t> live;
-  live.reserve(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    if (!lanes[i].active) continue;
-    HMM_CHECK(lanes[i].a.size() == n && lanes[i].b.size() == n &&
-              lanes[i].scratch.size() == n);
-    live.push_back(i);
+  std::size_t live = 0;
+  for (const BatchLane<T>& lane : lanes) {
+    if (!lane.active) continue;
+    HMM_CHECK(lane.a.size() == n && lane.b.size() == n && lane.scratch.size() == n);
+    ++live;
   }
-  if (live.empty()) return;
 
-  enum class Leg { kA, kB, kScratch };
+  // Kernel k has the shape of row pass k / 2: transpose 1 turns pass
+  // 1's r x m layout into pass 2's m x r, transpose 2 turns it back.
+  const RowScheduleSet* const sets[3] = {&plan.pass1(), &plan.pass2(), &plan.pass3()};
+  const std::span<const std::uint16_t> direct[3] = {plan.direct1(), plan.direct2(),
+                                                    plan.direct3()};
   std::vector<const T*> srcs;
   std::vector<T*> dsts;
-  const auto gather_ptrs = [&](Leg src, Leg dst) {
-    srcs.resize(live.size());
-    dsts.resize(live.size());
-    for (std::size_t l = 0; l < live.size(); ++l) {
-      BatchLane<T>& lane = lanes[live[l]];
-      srcs[l] = src == Leg::kA ? lane.a.data()
-                               : (src == Leg::kB ? lane.b.data() : lane.scratch.data());
-      dsts[l] = dst == Leg::kB ? lane.b.data() : lane.scratch.data();
-    }
-  };
+  std::optional<util::Stopwatch> clock;
+  if (observer) clock.emplace();
 
-  util::Stopwatch clock;
-  const auto observe = [&](unsigned kernel) {
-    if (observer) {
-      observer(kernel, static_cast<std::uint64_t>(clock.nanos()));
-      clock.reset();
-    }
-  };
-  const auto gate_pass = [&]() -> bool {
-    std::size_t kept = 0;
-    for (std::size_t idx : live) {
-      BatchLane<T>& lane = lanes[idx];
-      if (lane.gate && !lane.gate()) {
-        lane.active = false;
-      } else {
-        live[kept++] = idx;
+  for (unsigned k = 0; k < 5; ++k) {
+    if (k > 0) {
+      for (BatchLane<T>& lane : lanes) {
+        if (lane.active && lane.gate && !lane.gate()) {
+          lane.active = false;
+          --live;
+        }
       }
     }
-    live.resize(kept);
-    return !live.empty();
-  };
+    if (live == 0) return;
 
-  gather_ptrs(Leg::kA, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, r, m, plan.pass1().phat, plan.pass1().q);
-  observe(0);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kB, Leg::kScratch);
-  cpu::transpose_blocked_batched<T>(pool, srcs, dsts, r, m, tile);
-  observe(1);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kScratch, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, m, r, plan.pass2().phat, plan.pass2().q);
-  observe(2);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kB, Leg::kScratch);
-  cpu::transpose_blocked_batched<T>(pool, srcs, dsts, m, r, tile);
-  observe(3);
-  if (!gate_pass()) return;
-  gather_ptrs(Leg::kScratch, Leg::kB);
-  cpu::row_wise_pass_batched<T>(pool, srcs, dsts, r, m, plan.pass3().phat, plan.pass3().q);
-  observe(4);
+    // Legs: a -> b, b -> scratch, scratch -> b, b -> scratch, scratch -> b.
+    const bool transpose = k % 2 == 1;
+    const auto src = [&](const BatchLane<T>& lane) -> std::span<const T> {
+      if (k == 0) return lane.a;
+      return transpose ? lane.b : lane.scratch;
+    };
+    const auto dst = [&](const BatchLane<T>& lane) { return transpose ? lane.scratch : lane.b; };
+    const RowScheduleSet& set = *sets[k / 2];
+
+    if (live == 1 || (!transpose && row_kernel == RowKernel::kDirect)) {
+      for (const BatchLane<T>& lane : lanes) {
+        if (!lane.active) continue;
+        if (transpose) {
+          cpu::transpose_blocked<T>(pool, src(lane), dst(lane), set.rows, set.cols,
+                                    plan.params().width);
+        } else if (row_kernel == RowKernel::kDirect) {
+          cpu::row_wise_pass_direct<T>(pool, src(lane), dst(lane), set.rows, set.cols,
+                                       direct[k / 2]);
+        } else {
+          cpu::row_wise_pass<T>(pool, src(lane), dst(lane), set.rows, set.cols, set.phat, set.q);
+        }
+      }
+    } else {
+      srcs.clear();
+      dsts.clear();
+      for (const BatchLane<T>& lane : lanes) {
+        if (!lane.active) continue;
+        srcs.push_back(src(lane).data());
+        dsts.push_back(dst(lane).data());
+      }
+      if (transpose) {
+        cpu::transpose_blocked_batched<T>(pool, srcs, dsts, set.rows, set.cols);
+      } else {
+        cpu::row_wise_pass_batched<T>(pool, srcs, dsts, set.rows, set.cols, set.phat, set.q);
+      }
+    }
+
+    if (clock) {
+      observer(k, static_cast<std::uint64_t>(clock->nanos()));
+      clock->reset();
+    }
+  }
 }
 
-/// Host variant that applies the per-row permutations directly instead
-/// of reading the (p̂, q) schedule arrays — one indirection per element
-/// instead of two. Used by `bench_ablation_coloring`'s schedule-read
-/// overhead comparison; the GPU-faithful `scheduled_cpu` is what the
-/// paper's implementation does.
+/// One ungated, untimed execution of the plan on the host backend:
+/// b[P(i)] = a[i], with `scratch` (size n) as the second ping-pong leg.
+/// `a` must not alias `b` or `scratch`.
 template <class T>
-void scheduled_cpu_direct(util::ThreadPool& pool, const ScheduledPlan& plan,
-                          std::span<const T> a, std::span<T> b, std::span<T> scratch1,
-                          std::span<T> scratch2) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n && scratch1.size() == n && scratch2.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-  const std::uint64_t tile = plan.params().width;
-
-  cpu::row_wise_pass_direct<T>(pool, a, scratch1, r, m, plan.direct1());
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, r, m, tile);
-  cpu::row_wise_pass_direct<T>(pool, scratch2, scratch1, m, r, plan.direct2());
-  cpu::transpose_blocked<T>(pool, scratch1, scratch2, m, r, tile);
-  cpu::row_wise_pass_direct<T>(pool, scratch2, b, r, m, plan.direct3());
+void scheduled_cpu_lean(util::ThreadPool& pool, const ScheduledPlan& plan,
+                        std::span<const T> a, std::span<T> b, std::span<T> scratch) {
+  BatchLane<T> lane{.a = a, .b = b, .scratch = scratch};
+  scheduled_cpu_sweep<T>(pool, plan, std::span<BatchLane<T>>(&lane, 1));
 }
 
 /// Issue every memory-access round of the scheduled algorithm on the
@@ -259,37 +169,13 @@ void scheduled_cpu_direct(util::ThreadPool& pool, const ScheduledPlan& plan,
 std::uint64_t scheduled_sim_rounds(sim::HmmSim& sim, const ScheduledPlan& plan,
                                    std::uint32_t words = 1);
 
-/// Execute the plan on the simulator backend: moves the data through
-/// the same five passes (serially) and accounts the model time.
+/// Execute the plan on the simulator backend: the host driver moves the
+/// data and `scheduled_sim_rounds` accounts the model time.
 template <class T>
 std::uint64_t scheduled_sim(sim::HmmSim& sim, const ScheduledPlan& plan, std::span<const T> a,
                             std::span<T> b) {
-  const std::uint64_t n = plan.size();
-  HMM_CHECK(a.size() == n && b.size() == n);
-  const std::uint64_t r = plan.shape().rows;
-  const std::uint64_t m = plan.shape().cols;
-
-  std::vector<T> t1(n), t2(n);
-  auto row_pass = [&](const RowScheduleSet& set, const T* in, T* out) {
-    for (std::uint64_t row = 0; row < set.rows; ++row) {
-      const auto phat = set.phat_row(row);
-      const auto q = set.q_row(row);
-      const std::uint64_t base = row * set.cols;
-      for (std::uint64_t k = 0; k < set.cols; ++k) out[base + q[k]] = in[base + phat[k]];
-    }
-  };
-  auto transpose_pass = [&](std::uint64_t rows, std::uint64_t cols, const T* in, T* out) {
-    for (std::uint64_t i = 0; i < rows; ++i) {
-      for (std::uint64_t j = 0; j < cols; ++j) out[j * rows + i] = in[i * cols + j];
-    }
-  };
-
-  row_pass(plan.pass1(), a.data(), t1.data());
-  transpose_pass(r, m, t1.data(), t2.data());
-  row_pass(plan.pass2(), t2.data(), t1.data());
-  transpose_pass(m, r, t1.data(), t2.data());
-  row_pass(plan.pass3(), t2.data(), b.data());
-
+  util::aligned_vector<T> scratch(plan.size());
+  scheduled_cpu_lean<T>(util::ThreadPool::global(), plan, a, b, scratch);
   return scheduled_sim_rounds(sim, plan, model::words_of<T>());
 }
 

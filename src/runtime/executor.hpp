@@ -38,7 +38,7 @@
 /// **Same-plan batching** (Config::batch, off by default). Requests
 /// that share a compiled scheduled plan are gathered — up to
 /// `max_batch` of them, for at most `max_delay` — and executed as one
-/// `core::scheduled_cpu_lean_batched` sweep: five thread-pool
+/// multi-lane `core::scheduled_cpu_sweep`: five thread-pool
 /// fork/joins per *batch* instead of per request, the serving-side
 /// image of the paper's batching lemma (many permutations along the
 /// same plan amortize to optimal cost). Batching is invisible to
@@ -582,7 +582,7 @@ class Executor {
 
     Status sweep_error = Status::ok();
     try {
-      core::scheduled_cpu_lean_batched<T>(pool_, *h.plan(), lanes, observer);
+      core::scheduled_cpu_sweep<T>(pool_, *h.plan(), lanes, observer);
     } catch (const std::bad_alloc&) {
       sweep_error = Status(StatusCode::kResourceExhausted, "allocation failed during execute");
     } catch (const std::exception& e) {

@@ -55,9 +55,11 @@ inline constexpr std::size_t kPhaseCount = 12;
 /// All phases in presentation order (for renderers and scrapers).
 [[nodiscard]] const std::array<Phase, kPhaseCount>& all_phases() noexcept;
 
-/// Map a kernel index reported by `core::OfflinePermuter::permute_timed`
-/// (0..4 = the scheduled algorithm's five launches, `core::
-/// kConventionalKernel` = the single conventional kernel) to its Phase.
+/// Map a kernel index reported to a `core::KernelObserver` — by the
+/// five-pass driver `core::scheduled_cpu_sweep` (0..4 = its five
+/// launches) or by `core::OfflinePermuter::permute_timed`
+/// (`core::kConventionalKernel` = the single conventional kernel) — to
+/// its Phase.
 [[nodiscard]] Phase phase_for_kernel(unsigned kernel) noexcept;
 
 /// Per-request phase accumulator. Not thread-safe by design: exactly

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "core/conventional.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
@@ -91,25 +94,9 @@ TEST(ScheduledCpu, CorrectForAllFamilies) {
     const perm::Permutation p = perm::by_name(name, n);
     const ScheduledPlan plan = ScheduledPlan::build(p, mp);
     const auto a = test::iota_data<float>(n);
-    util::aligned_vector<float> b(n, -1.f), s1(n), s2(n);
-    scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+    util::aligned_vector<float> b(n, -1.f), scratch(n);
+    scheduled_cpu_lean<float>(pool, plan, a, b, scratch);
     expect_permuted<float>(p, a, b);
-  }
-}
-
-TEST(ScheduledCpu, LeanVariantMatchesTwoScratch) {
-  util::ThreadPool pool(2);
-  const MachineParams mp = MachineParams::tiny(4, 9, 2);
-  const std::uint64_t n = 1 << 10;
-  for (const auto& name : test::families_for(n)) {
-    const perm::Permutation p = perm::by_name(name, n);
-    const ScheduledPlan plan = ScheduledPlan::build(p, mp);
-    const auto a = test::iota_data<float>(n);
-    util::aligned_vector<float> b1(n, -1.f), b2(n, -1.f), s1(n), s2(n);
-    scheduled_cpu<float>(pool, plan, a, b1, s1, s2);
-    scheduled_cpu_lean<float>(pool, plan, a, b2, s1);
-    EXPECT_EQ(b1, b2) << name;
-    expect_permuted<float>(p, a, b2);
   }
 }
 
@@ -120,10 +107,98 @@ TEST(ScheduledCpu, DoubleElements) {
   const perm::Permutation p = perm::by_name("random", n, 3);
   const ScheduledPlan plan = ScheduledPlan::build(p, mp);
   const auto a = test::iota_data<double>(n);
-  util::aligned_vector<double> b(n, -1.0), s1(n), s2(n);
-  scheduled_cpu<double>(pool, plan, a, b, s1, s2);
+  util::aligned_vector<double> b(n, -1.0), scratch(n);
+  scheduled_cpu_lean<double>(pool, plan, a, b, scratch);
   expect_permuted<double>(p, a, b);
 }
+
+/// Boundary semantics of the five-pass driver: lane count x row-pass
+/// kernel x the kernel after which one lane's gate trips (-1 = never).
+struct SweepCase {
+  std::size_t lanes;
+  RowKernel row_kernel;
+  int trip_after;
+};
+
+class SweepBoundary : public ::testing::TestWithParam<SweepCase> {};
+
+TEST_P(SweepBoundary, GateStopsOnlyTheTrippedLane) {
+  const SweepCase c = GetParam();
+  util::ThreadPool pool(2);
+  const MachineParams mp = MachineParams::tiny(4, 9, 2);
+  const std::uint64_t n = 1 << 10;
+  const perm::Permutation p = perm::by_name("random", n, 7);
+  const ScheduledPlan plan = ScheduledPlan::build(p, mp);
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> expected(n);
+  p.apply<float>(a, expected);
+
+  // The middle lane trips; every gate counts how often it was consulted.
+  // An ungated case (trip_after = -1) installs no gates at all.
+  const std::size_t tripped = c.lanes / 2;
+  const bool gated = c.trip_after >= 0;
+  std::vector<util::aligned_vector<float>> bs(c.lanes, util::aligned_vector<float>(n, -1.f));
+  std::vector<util::aligned_vector<float>> scratches(c.lanes, util::aligned_vector<float>(n));
+  std::vector<int> gate_calls(c.lanes, 0);
+  std::vector<BatchLane<float>> lanes(c.lanes);
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    lanes[l].a = a;
+    lanes[l].b = bs[l];
+    lanes[l].scratch = scratches[l];
+    const int trip = l == tripped ? c.trip_after : -1;
+    if (gated) lanes[l].gate = [&calls = gate_calls[l], trip] { return calls++ != trip; };
+  }
+
+  // Fan each observation into the lanes active during that kernel, the
+  // way the executor attributes batch time to requests.
+  std::vector<unsigned> batch_seen;
+  std::vector<std::vector<unsigned>> lane_seen(c.lanes);
+  const KernelObserver observer = [&](unsigned kernel, std::uint64_t) {
+    batch_seen.push_back(kernel);
+    for (std::size_t l = 0; l < c.lanes; ++l) {
+      if (lanes[l].active) lane_seen[l].push_back(kernel);
+    }
+  };
+  scheduled_cpu_sweep<float>(pool, plan, lanes, observer, c.row_kernel);
+
+  const std::vector<unsigned> all = {0, 1, 2, 3, 4};
+  for (std::size_t l = 0; l < c.lanes; ++l) {
+    if (l == tripped && gated) {
+      std::vector<unsigned> upto(all.begin(), all.begin() + c.trip_after + 1);
+      EXPECT_EQ(lane_seen[l], upto) << "lane " << l;
+      EXPECT_FALSE(lanes[l].active) << "lane " << l;
+      EXPECT_EQ(gate_calls[l], c.trip_after + 1) << "lane " << l;
+    } else {
+      EXPECT_EQ(lane_seen[l], all) << "lane " << l;
+      EXPECT_TRUE(lanes[l].active) << "lane " << l;
+      EXPECT_EQ(gate_calls[l], gated ? 4 : 0) << "gates are consulted between kernels only";
+      EXPECT_EQ(bs[l], expected) << "lane " << l;
+    }
+  }
+  // The batch-wide observer stops with the last live lane; an ungated
+  // run makes exactly five observations.
+  EXPECT_EQ(batch_seen, c.lanes == 1 && gated ? lane_seen[tripped] : all);
+}
+
+std::vector<SweepCase> sweep_cases() {
+  std::vector<SweepCase> cases;
+  for (std::size_t lanes : {1, 3}) {
+    for (RowKernel row_kernel : {RowKernel::kSchedule, RowKernel::kDirect}) {
+      for (int trip = -1; trip <= 3; ++trip) cases.push_back({lanes, row_kernel, trip});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ScheduledSweep, SweepBoundary, ::testing::ValuesIn(sweep_cases()),
+    [](const ::testing::TestParamInfo<SweepCase>& param_info) {
+      const SweepCase& c = param_info.param;
+      return "lanes" + std::to_string(c.lanes) +
+             (c.row_kernel == RowKernel::kSchedule ? "_schedule" : "_direct") +
+             (c.trip_after < 0 ? std::string("_ungated")
+                               : "_trip" + std::to_string(c.trip_after));
+    });
 
 TEST(ScheduledSim, CorrectAndFullyCoalesced) {
   const MachineParams mp = MachineParams::tiny(4, 9, 2);

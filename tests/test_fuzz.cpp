@@ -62,12 +62,14 @@ TEST_P(Fuzz, FullInvariantChain) {
   d.p.apply<float>(a, expected);
 
   util::ThreadPool pool(2);
-  util::aligned_vector<float> b(d.n), s1(d.n), s2(d.n);
-  core::scheduled_cpu<float>(pool, plan, a, b, s1, s2);
+  util::aligned_vector<float> b(d.n), scratch(d.n);
+  core::scheduled_cpu_lean<float>(pool, plan, a, b, scratch);
   ASSERT_EQ(b, expected);
 
   std::fill(b.begin(), b.end(), -1.f);
-  core::scheduled_cpu_direct<float>(pool, plan, a, b, s1, s2);
+  core::BatchLane<float> lane{.a = a, .b = b, .scratch = scratch};
+  core::scheduled_cpu_sweep<float>(pool, plan, std::span(&lane, 1), {}, core::RowKernel::kDirect);
+  ASSERT_TRUE(lane.active);
   ASSERT_EQ(b, expected);
 
   // 3. Simulator: zero casual rounds, exact Theorem 9 time when the

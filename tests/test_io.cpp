@@ -93,8 +93,8 @@ TEST(PlanIo, LoadedPlanExecutes) {
 
   util::ThreadPool pool(2);
   const auto a = test::iota_data<float>(n);
-  util::aligned_vector<float> b(n), s1(n), s2(n);
-  core::scheduled_cpu<float>(pool, *plan, a, b, s1, s2);
+  util::aligned_vector<float> b(n), scratch(n);
+  core::scheduled_cpu_lean<float>(pool, *plan, a, b, scratch);
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 

@@ -211,16 +211,27 @@ TEST(ProgramFuse, FusedMatchesSequentialApplication) {
 }
 
 TEST(ProgramFuse, InverseChainFoldsToIdentity) {
+  // P then P^-1, and the involutions: two corner turns cancel, and so
+  // do two bit reversals.
   const std::uint64_t n = 256;
   Registry reg;
   const std::uint64_t id = reg.add(random_perm(n, 5));
-  Program program;
-  program.ops = {{ProgramOpCode::kPermute, id}, {ProgramOpCode::kInverse, id}};
-  const auto resolved = runtime::resolve_program(program, n, reg.resolver());
-  ASSERT_TRUE(resolved.ok());
-  const auto fused = runtime::fuse_program(resolved.value());
-  ASSERT_TRUE(fused.ok());
-  EXPECT_TRUE(fused.value().is_identity());
+  const std::uint64_t transpose = reg.add(perm::transpose_square(n));
+  const std::uint64_t reversal = reg.add(perm::bit_reversal(n));
+  const std::vector<std::vector<ProgramOp>> chains = {
+      {{ProgramOpCode::kPermute, id}, {ProgramOpCode::kInverse, id}},
+      {{ProgramOpCode::kPermute, transpose}, {ProgramOpCode::kPermute, transpose}},
+      {{ProgramOpCode::kPermute, reversal}, {ProgramOpCode::kPermute, reversal}},
+  };
+  for (const auto& ops : chains) {
+    Program program;
+    program.ops = ops;
+    const auto resolved = runtime::resolve_program(program, n, reg.resolver());
+    ASSERT_TRUE(resolved.ok());
+    const auto fused = runtime::fuse_program(resolved.value());
+    ASSERT_TRUE(fused.ok());
+    EXPECT_TRUE(fused.value().is_identity()) << "chain head " << ops.front().arg;
+  }
 }
 
 TEST(ProgramFuse, CompositionAssociates) {
