@@ -83,13 +83,15 @@ int main(int argc, char** argv) {
 
       runtime::Executor executor(pool, &metrics);
       const double batched_ms = bench::time_ms([&] {
-        std::vector<std::future<void>> futs;
+        std::vector<std::future<runtime::Status>> futs;
         futs.reserve(batch);
         for (std::uint64_t r = 0; r < batch; ++r) {
-          futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                                std::span<float>(outs[r].data(), n)));
+          auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
+                                                      std::span<float>(outs[r].data(), n));
+          HMM_CHECK_MSG(submitted.ok(), submitted.status().to_string().c_str());
+          futs.push_back(std::move(submitted).value());
         }
-        for (auto& f : futs) f.get();
+        for (auto& f : futs) HMM_CHECK_MSG(f.get().is_ok(), "executor request failed");
       });
 
       const runtime::MetricsSnapshot snap = metrics.snapshot();

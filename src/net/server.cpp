@@ -595,12 +595,67 @@ Frame Server::handle_submit_plan(const FrameView& request) {
   return make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take());
 }
 
+template <class Options, class Submit>
+OutboundFrame Server::serve_elements(const FrameView& request, MsgKind ok_kind,
+                                     const WordsView& data, std::uint32_t deadline_ms,
+                                     Options opts, Submit&& submit) {
+  // The client's relative budget becomes an absolute executor deadline
+  // here — queueing and kernel phases all draw from it.
+  if (deadline_ms > 0) {
+    opts.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(deadline_ms);
+  }
+  // The wire request id doubles as the trace id: the client controls
+  // it (trace prefix in the high half), we echo it in the response and
+  // thread it to the slow-request log.
+  opts.trace_id = request.request_id;
+
+  util::BufferPool& pool = util::BufferPool::global();
+  const std::uint64_t count = data.count;
+
+  // Input elements: on a little-endian host the wire bytes in the
+  // pooled read buffer *are* the element array (the PERMUTE data
+  // offset, 24 bytes, and the EXECUTE_PROGRAM one, 24 + 16*op_count,
+  // keep them 4-aligned in 128-byte-aligned storage), so the kernels
+  // read the request payload in place — it is stable for the whole
+  // handler because EPOLLIN is paused while this request is in flight.
+  // The fallback is one bounded copy into a pooled buffer.
+  std::span<const std::uint32_t> in = data.in_place();
+  util::PooledBuffer in_copy;
+  if (in.empty()) {
+    in_copy = pool.try_acquire(count * sizeof(std::uint32_t));
+    if (!in_copy.valid()) {
+      return error_outbound(request.request_id,
+                            Status(StatusCode::kResourceExhausted,
+                                   "buffer pool refused the request buffer"));
+    }
+    const std::span<std::uint32_t> copy_span = in_copy.as_span<std::uint32_t>(count);
+    data.copy_to(copy_span);
+    in = copy_span;
+  }
+
+  // Output elements: pooled (a steady stream of same-sized requests
+  // recycles the same blocks), serialized scatter-gather without ever
+  // being copied into a response payload.
+  util::PooledBuffer out = pool.try_acquire(count * sizeof(std::uint32_t));
+  if (!out.valid()) {
+    return error_outbound(request.request_id,
+                          Status(StatusCode::kResourceExhausted,
+                                 "buffer pool refused the response buffer"));
+  }
+
+  StatusOr<std::future<Status>> submitted = submit(in, out.as_span<std::uint32_t>(count), opts);
+  if (!submitted.ok()) return error_outbound(request.request_id, submitted.status());
+  const Status outcome = submitted.value().get();
+  if (!outcome.is_ok()) return error_outbound(request.request_id, outcome);
+
+  return elements_outbound(ok_kind, request.request_id, std::move(out), count);
+}
+
 OutboundFrame Server::handle_permute(const FrameView& request) {
   const std::uint64_t max_elements = config_.max_payload_bytes / kElemBytes;
   StatusOr<PermuteRequestView> req = PermuteRequestView::decode(request.payload, max_elements);
   if (!req.ok()) return error_outbound(request.request_id, req.status());
   const PermuteRequestView& permute = req.value();
-  const std::uint64_t count = permute.data.count;
 
   std::shared_ptr<const perm::Permutation> plan;
   {
@@ -613,65 +668,18 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
                           Status(StatusCode::kInvalidArgument,
                                  "PERMUTE: unknown plan id (SUBMIT_PLAN it first)"));
   }
-  if (count != plan->size()) {
+  if (permute.data.count != plan->size()) {
     return error_outbound(request.request_id,
                           Status(StatusCode::kInvalidArgument,
                                  "PERMUTE: element count does not match the plan size"));
   }
 
-  // The client's relative budget becomes an absolute executor deadline
-  // here — queueing and kernel phases all draw from it.
-  runtime::RequestOptions opts;
-  if (permute.deadline_ms > 0) {
-    opts.deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(permute.deadline_ms);
-  }
-  // The wire request id doubles as the trace id: the client controls
-  // it (trace prefix in the high half), we echo it in the response and
-  // thread it to the slow-request log.
-  opts.trace_id = request.request_id;
-
-  util::BufferPool& pool = util::BufferPool::global();
-
-  // Input elements: on a little-endian host the wire bytes in the
-  // pooled read buffer *are* the element array (the PERMUTE data
-  // offset, 24 bytes, keeps them 4-aligned in 128-byte-aligned
-  // storage), so the kernels read the request payload in place — it is
-  // stable for the whole handler because EPOLLIN is paused while this
-  // request is in flight. The fallback is one bounded copy into a
-  // pooled buffer.
-  std::span<const std::uint32_t> in = permute.data.in_place();
-  util::PooledBuffer in_copy;
-  if (in.empty()) {
-    in_copy = pool.try_acquire(count * sizeof(std::uint32_t));
-    if (!in_copy.valid()) {
-      return error_outbound(request.request_id,
-                            Status(StatusCode::kResourceExhausted,
-                                   "buffer pool refused the request buffer"));
-    }
-    const std::span<std::uint32_t> copy_span = in_copy.as_span<std::uint32_t>(count);
-    permute.data.copy_to(copy_span);
-    in = copy_span;
-  }
-
-  // Output elements: pooled (a steady stream of same-sized PERMUTEs
-  // recycles the same blocks), serialized scatter-gather without ever
-  // being copied into a response payload.
-  util::PooledBuffer out = pool.try_acquire(count * sizeof(std::uint32_t));
-  if (!out.valid()) {
-    return error_outbound(request.request_id,
-                          Status(StatusCode::kResourceExhausted,
-                                 "buffer pool refused the response buffer"));
-  }
-  const std::span<std::uint32_t> out_span = out.as_span<std::uint32_t>(count);
-
-  StatusOr<std::future<Status>> submitted =
-      service_.submit<std::uint32_t>(*plan, in, out_span, opts);
-  if (!submitted.ok()) return error_outbound(request.request_id, submitted.status());
-  const Status outcome = submitted.value().get();
-  if (!outcome.is_ok()) return error_outbound(request.request_id, outcome);
-
-  return elements_outbound(MsgKind::kPermuteOk, request.request_id, std::move(out), count);
+  return serve_elements(request, MsgKind::kPermuteOk, permute.data, permute.deadline_ms,
+                        runtime::RequestOptions{},
+                        [&](std::span<const std::uint32_t> in, std::span<std::uint32_t> out,
+                            const runtime::RequestOptions& opts) {
+                          return service_.submit<std::uint32_t>(*plan, in, out, opts);
+                        });
 }
 
 OutboundFrame Server::handle_program(const FrameView& request) {
@@ -680,15 +688,6 @@ OutboundFrame Server::handle_program(const FrameView& request) {
       ExecuteProgramRequestView::decode(request.payload, max_elements);
   if (!req.ok()) return error_outbound(request.request_id, req.status());
   const ExecuteProgramRequestView& program_req = req.value();
-  const std::uint64_t count = program_req.data.count;
-
-  runtime::ProgramRequestOptions opts;
-  if (program_req.deadline_ms > 0) {
-    opts.deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(program_req.deadline_ms);
-  }
-  opts.trace_id = request.request_id;
-  opts.force_staged = program_req.force_staged();
 
   // The wire plan id is the mapping fingerprint, so the registry *is*
   // the resolver. The lambda takes the lock per lookup — an op chain
@@ -699,44 +698,19 @@ OutboundFrame Server::handle_program(const FrameView& request) {
     const auto it = plans_.find(fingerprint);
     return it == plans_.end() ? nullptr : it->second;
   };
-
-  util::BufferPool& pool = util::BufferPool::global();
-
-  // Input elements in place when aligned (the EXECUTE_PROGRAM data
-  // offset, 24 + 16*op_count, is a multiple of 8); bounded pooled copy
-  // otherwise — same contract as PERMUTE.
-  std::span<const std::uint32_t> in = program_req.data.in_place();
-  util::PooledBuffer in_copy;
-  if (in.empty()) {
-    in_copy = pool.try_acquire(count * sizeof(std::uint32_t));
-    if (!in_copy.valid()) {
-      return error_outbound(request.request_id,
-                            Status(StatusCode::kResourceExhausted,
-                                   "buffer pool refused the request buffer"));
-    }
-    const std::span<std::uint32_t> copy_span = in_copy.as_span<std::uint32_t>(count);
-    program_req.data.copy_to(copy_span);
-    in = copy_span;
-  }
-
-  util::PooledBuffer out = pool.try_acquire(count * sizeof(std::uint32_t));
-  if (!out.valid()) {
-    return error_outbound(request.request_id,
-                          Status(StatusCode::kResourceExhausted,
-                                 "buffer pool refused the response buffer"));
-  }
-  const std::span<std::uint32_t> out_span = out.as_span<std::uint32_t>(count);
-
   runtime::Program program;
   program.ops = program_req.ops;
-  StatusOr<std::future<Status>> submitted =
-      service_.submit_program<std::uint32_t>(program, resolver, in, out_span, opts);
-  if (!submitted.ok()) return error_outbound(request.request_id, submitted.status());
-  const Status outcome = submitted.value().get();
-  if (!outcome.is_ok()) return error_outbound(request.request_id, outcome);
 
+  runtime::ProgramRequestOptions opts;
+  opts.force_staged = program_req.force_staged();
   // PROGRAM_OK mirrors PERMUTE_OK byte for byte.
-  return elements_outbound(MsgKind::kProgramOk, request.request_id, std::move(out), count);
+  return serve_elements(request, MsgKind::kProgramOk, program_req.data, program_req.deadline_ms,
+                        opts,
+                        [&](std::span<const std::uint32_t> in, std::span<std::uint32_t> out,
+                            const runtime::ProgramRequestOptions& stamped) {
+                          return service_.submit_program<std::uint32_t>(program, resolver, in,
+                                                                        out, stamped);
+                        });
 }
 
 namespace {

@@ -274,6 +274,16 @@ class Server {
   /// SHARD_EXEC) and scatter the block into its staging buffer.
   OutboundFrame handle_shard_xchg(const FrameView& request);
 
+  /// The request path shared by PERMUTE and EXECUTE_PROGRAM: stamp the
+  /// relative deadline and the trace id onto `opts`, take the input
+  /// elements in place (or as one pooled copy), pool the output, call
+  /// `submit(in, out, opts)`, await its future and encode the `ok_kind`
+  /// [count | elements] response. Handlers keep only their decode and
+  /// the service call.
+  template <class Options, class Submit>
+  OutboundFrame serve_elements(const FrameView& request, MsgKind ok_kind, const WordsView& data,
+                               std::uint32_t deadline_ms, Options opts, Submit&& submit);
+
   Frame handle_submit_plan(const FrameView& request);
   Frame handle_stats(std::uint64_t request_id);
 

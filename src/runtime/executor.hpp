@@ -5,21 +5,21 @@
 ///        deadlines, cooperative cancellation, pooled scratch, and
 ///        optional same-plan request batching.
 ///
-/// `submit(permuter, a, b)` enqueues one permutation request and
-/// returns a `std::future<void>` that becomes ready when `b` holds the
-/// permuted data (or carries the exception that aborted the request).
-/// `try_submit(permuter, a, b, opts)` is the serving-path variant: it
-/// never throws request-level failures, reporting them as a typed
+/// `try_submit(permuter, a, b, opts)` enqueues one permutation request.
+/// It never throws request-level failures, reporting them as a typed
 /// `Status` instead — synchronously when the request is refused
-/// (admission bound hit, deadline already expired, cancelled before
-/// enqueue) and through the returned `std::future<Status>` after that.
+/// (invalid or overlapping spans, admission bound hit, deadline already
+/// expired, cancelled before enqueue) and through the returned
+/// `std::future<Status>` after that. `submit_program` runs a chain of
+/// permuters as one request; a plain request is its one-stage case, so
+/// both share one admission prologue and one task body.
 ///
 /// Request lifecycle controls:
 ///  - **Admission**: `Config::max_in_flight` bounds the number of
-///    admitted-but-unfinished requests. At the bound, `try_submit`
-///    either rejects with `kResourceExhausted` (Admission::kReject) or
-///    blocks the submitter until a slot frees or the request deadline
-///    passes (Admission::kBlock). The legacy `submit` always blocks.
+///    admitted-but-unfinished requests. At the bound, a submit either
+///    rejects with `kResourceExhausted` (Admission::kReject) or blocks
+///    the submitter until a slot frees or the request deadline passes
+///    (Admission::kBlock).
 ///  - **Deadlines**: checked before admission, at dequeue (a request
 ///    that waited out its deadline in the queue resolves
 ///    `kDeadlineExceeded` without executing), and between the kernel
@@ -48,7 +48,8 @@
 /// admitted *before* gathering, so the in-flight bound keeps its
 /// meaning; a full group flushes immediately, a partial one when its
 /// gather window expires (a dedicated flusher thread owns the timer).
-/// Conventional-strategy requests bypass gathering entirely.
+/// Conventional-strategy requests and multi-stage programs bypass
+/// gathering entirely.
 ///
 /// Requests drain onto the shared thread pool via
 /// `ThreadPool::submit_task`; each request then fans its kernels out
@@ -88,6 +89,16 @@
 #include "util/thread_pool.hpp"
 
 namespace hmm::runtime {
+
+/// True when `a` and `b` share at least one element. A permute cannot
+/// run in place: the kernels read `a` after writing parts of `b`.
+template <class T>
+[[nodiscard]] bool spans_overlap(std::span<const T> a, std::span<T> b) noexcept {
+  const auto a_lo = reinterpret_cast<std::uintptr_t>(a.data());
+  const auto b_lo = reinterpret_cast<std::uintptr_t>(b.data());
+  return !a.empty() && !b.empty() && a_lo < b_lo + b.size_bytes() &&
+         b_lo < a_lo + a.size_bytes();
+}
 
 class Executor {
  public:
@@ -179,112 +190,16 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  /// Enqueue b[P(i)] = a[i] under the compiled permuter `h`. Failures
-  /// surface as exceptions through the future. Blocks for a slot when
-  /// the in-flight bound is hit (regardless of the admission policy —
-  /// this legacy entry point has no way to report a rejection).
-  template <class T>
-  std::future<void> submit(std::shared_ptr<const core::OfflinePermuter<T>> h,
-                           std::span<const T> a, std::span<T> b) {
-    HMM_CHECK(h != nullptr);
-    const std::uint64_t depth = admit_blocking();
-    std::future<void> fut;
-    try {
-      fut = pool_.submit_task([this, h = std::move(h), a, b] {
-        Completion done(*this);  // decrements in_flight_ even on throw
-        util::Stopwatch clock;
-        bool ok = false;
-        try {
-          FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-          FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                                StatusCode::kResourceExhausted,
-                                                "scratch allocation failure");
-          const std::uint64_t scratch_elems = h->scratch_elements();
-          util::PooledBuffer scratch = buffer_pool_->acquire(scratch_elems * sizeof(T));
-          h->permute(a, b, scratch.as_span<T>(scratch_elems));
-          ok = true;
-        } catch (...) {
-          if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-          throw;  // delivered through the future
-        }
-        if (metrics_ && ok) {
-          metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), true);
-        }
-      });
-    } catch (...) {
-      // Enqueue failed (packaged_task / queue allocation): the task
-      // will never run, so its Completion never fires — roll the count
-      // back or wait_idle() and the destructor would block forever.
-      finish_one();
-      throw;
-    }
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
-  }
-
   /// Serving-path submit: admission control + deadline + cancellation,
   /// all failures as typed Status. A synchronous error means the
   /// request was refused before enqueue and will never execute; an OK
   /// result carries the future that resolves with the request outcome.
+  /// `a` and `b` must not overlap (kInvalidArgument otherwise).
   template <class T>
   StatusOr<std::future<Status>> try_submit(std::shared_ptr<const core::OfflinePermuter<T>> h,
                                            std::span<const T> a, std::span<T> b,
                                            SubmitOptions opts = {}) {
-    if (h == nullptr) return Status(StatusCode::kInvalidArgument, "null permuter handle");
-    if (a.size() != h->size() || b.size() != h->size()) {
-      return Status(StatusCode::kInvalidArgument, "span sizes do not match the permuter");
-    }
-    if (!opts.phases) opts.phases = std::make_shared<PhaseBreakdown>();
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      finalize_request(opts);
-      return Status(StatusCode::kCancelled, "cancelled before admission");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      finalize_request(opts);
-      return Status(StatusCode::kDeadlineExceeded, "deadline expired before admission");
-    }
-
-    // The admission span is recorded unconditionally (an uncontended
-    // admit is a near-zero sample): "waited 0 ns" is signal, while a
-    // missing admission_wait series would read as an unwired timer.
-    util::Stopwatch admit_clock;
-    std::uint64_t depth = 0;
-    Status admitted = admit(opts.deadline, depth);
-    opts.phases->add(Phase::kAdmissionWait, static_cast<std::uint64_t>(admit_clock.nanos()));
-    if (!admitted.is_ok()) {
-      finalize_request(opts);
-      return admitted;
-    }
-
-    // Batched path: only scheduled-strategy requests coalesce (the
-    // conventional kernels are one launch already, there is nothing to
-    // amortize), and only when the cache budget admits a worthwhile
-    // lane count (see BatchOptions::cache_budget_bytes). The group key
-    // is the permuter object itself — the plan cache dedups compiled
-    // plans, so one hot plan is one address.
-    if (config_.batch.enabled() && h->strategy() == core::Strategy::kScheduled &&
-        h->plan() != nullptr) {
-      const std::uint64_t lane_bytes = 3 * a.size() * sizeof(T);  // a + b + scratch
-      const std::uint64_t lanes = config_.batch.lanes_for(lane_bytes);
-      if (lanes >= BatchOptions::kMinFusedLanes) {
-        return enqueue_batched<T>(std::move(h), a, b, std::move(opts), depth, lanes);
-      }
-    }
-
-    std::future<Status> fut;
-    const auto enqueued_at = std::chrono::steady_clock::now();
-    try {
-      fut = pool_.submit_task([this, h = std::move(h), a, b, opts, enqueued_at]() -> Status {
-        return run_request<T>(*h, a, b, opts, enqueued_at);
-      });
-    } catch (...) {
-      finish_one();
-      throw;  // enqueue alloc failure: a process-level problem, not a request outcome
-    }
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
+    return submit_stages<T>(std::move(h), a, b, std::move(opts));
   }
 
   /// Staged program execution: run a validated chain of same-size
@@ -295,63 +210,21 @@ class Executor {
   /// deadline/cancel pair is re-checked at every stage boundary (and
   /// between kernels inside each stage via the phase gate); the
   /// `program.stage` fault site injects a failure at exactly those
-  /// boundaries. Pooled buffers are RAII handles, so every early exit
-  /// (cancel, deadline, fault, pool exhaustion) releases them.
+  /// boundaries, i.e. before stages 1..k-1 and never before stage 0.
+  /// Pooled buffers are RAII handles, so every early exit (cancel,
+  /// deadline, fault, pool exhaustion) releases them.
   ///
-  /// This is the *staged fallback* of the program subsystem — the fused
-  /// path compiles the composite permutation and goes through plain
-  /// try_submit. Stage semantics: stage 0 reads `a`; the last stage
-  /// writes `b`; a request stopped early leaves `b` garbage.
+  /// `try_submit` is the k = 1 case of this call: both share one
+  /// admission prologue and one task body. This is the *staged
+  /// fallback* of the program subsystem — the fused path compiles the
+  /// composite permutation and goes through plain try_submit. Stage
+  /// semantics: stage 0 reads `a`; the last stage writes `b`; a request
+  /// stopped early leaves `b` garbage.
   template <class T>
   StatusOr<std::future<Status>> submit_program(
       std::vector<std::shared_ptr<const core::OfflinePermuter<T>>> stages,
       std::span<const T> a, std::span<T> b, SubmitOptions opts = {}) {
-    if (stages.empty()) {
-      return Status(StatusCode::kInvalidArgument, "program has no stages");
-    }
-    for (const auto& stage : stages) {
-      if (stage == nullptr) {
-        return Status(StatusCode::kInvalidArgument, "null permuter handle in program");
-      }
-      if (a.size() != stage->size() || b.size() != stage->size()) {
-        return Status(StatusCode::kInvalidArgument,
-                      "span sizes do not match the program stages");
-      }
-    }
-    if (!opts.phases) opts.phases = std::make_shared<PhaseBreakdown>();
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      finalize_request(opts);
-      return Status(StatusCode::kCancelled, "cancelled before admission");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      finalize_request(opts);
-      return Status(StatusCode::kDeadlineExceeded, "deadline expired before admission");
-    }
-
-    util::Stopwatch admit_clock;
-    std::uint64_t depth = 0;
-    Status admitted = admit(opts.deadline, depth);
-    opts.phases->add(Phase::kAdmissionWait, static_cast<std::uint64_t>(admit_clock.nanos()));
-    if (!admitted.is_ok()) {
-      finalize_request(opts);
-      return admitted;
-    }
-
-    std::future<Status> fut;
-    const auto enqueued_at = std::chrono::steady_clock::now();
-    try {
-      fut = pool_.submit_task(
-          [this, stages = std::move(stages), a, b, opts, enqueued_at]() -> Status {
-            return run_program<T>(stages, a, b, opts, enqueued_at);
-          });
-    } catch (...) {
-      finish_one();
-      throw;  // enqueue alloc failure: a process-level problem, not a request outcome
-    }
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
+    return submit_stages<T>(std::move(stages), a, b, std::move(opts));
   }
 
   /// Requests admitted but not yet finished.
@@ -385,6 +258,237 @@ class Executor {
     ~Completion() { exec.finish_one(); }
     Executor& exec;
   };
+
+  // --- The request path ----------------------------------------------
+
+  template <class T>
+  using Stage = std::shared_ptr<const core::OfflinePermuter<T>>;
+
+  /// The task owns either one permuter (try_submit) or a chain
+  /// (submit_program); the shared body sees both as a span of stages.
+  template <class T>
+  static std::span<const Stage<T>> stage_view(const Stage<T>& h) noexcept {
+    return {&h, 1};
+  }
+  template <class T>
+  static std::span<const Stage<T>> stage_view(const std::vector<Stage<T>>& stages) noexcept {
+    return stages;
+  }
+
+  static bool expired(std::chrono::steady_clock::time_point deadline) noexcept {
+    return deadline != kNoDeadline && std::chrono::steady_clock::now() >= deadline;
+  }
+
+  /// Not cancelled and within the deadline: the check made before
+  /// admission, at dequeue, between stages, and (as the phase gate)
+  /// between kernels.
+  static bool live(const SubmitOptions& opts) noexcept {
+    return !opts.cancel.cancelled() && !expired(opts.deadline);
+  }
+
+  /// Where `live` stopped a request; selects the Status message.
+  enum class Boundary { kAdmission, kQueued, kStage, kKernel };
+
+  /// The typed outcome of a request that `live` refused at `where`
+  /// (cancellation wins over the deadline); counts it in the metrics.
+  Status stopped(const SubmitOptions& opts, Boundary where) {
+    static constexpr const char* kCancelled[] = {
+        "cancelled before admission", "cancelled while queued",
+        "cancelled between program stages", "cancelled between kernel phases"};
+    static constexpr const char* kExpired[] = {
+        "deadline expired before admission", "queued past the request deadline",
+        "deadline exceeded between program stages", "deadline exceeded between kernel phases"};
+    const auto i = static_cast<std::size_t>(where);
+    if (opts.cancel.cancelled()) {
+      if (metrics_) metrics_->record_cancelled();
+      return Status(StatusCode::kCancelled, kCancelled[i]);
+    }
+    if (metrics_) metrics_->record_deadline_exceeded();
+    return Status(StatusCode::kDeadlineExceeded, kExpired[i]);
+  }
+
+  /// Run `body` (which returns a Status) and map whatever it throws to
+  /// a typed Status: an execute never fails by exception.
+  template <class Body>
+  static Status guarded(Body&& body) {
+    try {
+      return body();
+    } catch (const FaultInjectedError& e) {
+      return Status(e.code, e.what());
+    } catch (const std::bad_alloc&) {
+      return Status(StatusCode::kResourceExhausted, "allocation failed during execute");
+    } catch (const std::exception& e) {
+      return Status(StatusCode::kUnavailable, e.what());
+    }
+  }
+
+  /// The execute-time fault sites, fired once per request before its
+  /// scratch is acquired.
+  static void inject_execute_faults() {
+    FaultInjector& faults = FaultInjector::instance();
+    faults.maybe_stall(fault_sites::kExecutorStall);
+    faults.maybe_throw(fault_sites::kExecutorAlloc, StatusCode::kResourceExhausted,
+                       "scratch allocation failure");
+    faults.maybe_throw(fault_sites::kPoolExhausted, StatusCode::kResourceExhausted,
+                       "buffer pool exhausted");
+  }
+
+  static void add_queue_wait(const SubmitOptions& opts,
+                             std::chrono::steady_clock::time_point enqueued_at,
+                             std::chrono::steady_clock::time_point now) {
+    if (!opts.phases) return;
+    opts.phases->add(Phase::kQueueWait,
+                     static_cast<std::uint64_t>(
+                         std::chrono::duration_cast<std::chrono::nanoseconds>(now - enqueued_at)
+                             .count()));
+  }
+
+  /// The one admission prologue: validate, refuse a request already
+  /// cancelled or expired, take an in-flight slot, then gather it into
+  /// a same-plan batch or enqueue the task body. `Stages` is one
+  /// permuter handle or a vector of them (see stage_view).
+  template <class T, class Stages>
+  StatusOr<std::future<Status>> submit_stages(Stages stages, std::span<const T> a,
+                                              std::span<T> b, SubmitOptions opts) {
+    const std::span<const Stage<T>> view = stage_view<T>(stages);
+    if (view.empty()) return Status(StatusCode::kInvalidArgument, "program has no stages");
+    for (const Stage<T>& stage : view) {
+      if (stage == nullptr) return Status(StatusCode::kInvalidArgument, "null permuter handle");
+      if (a.size() != stage->size() || b.size() != stage->size()) {
+        return Status(StatusCode::kInvalidArgument, "span sizes do not match the permuter");
+      }
+    }
+    if (spans_overlap(a, b)) {
+      return Status(StatusCode::kInvalidArgument, "input and output spans overlap");
+    }
+    if (!opts.phases) opts.phases = std::make_shared<PhaseBreakdown>();
+    if (!live(opts)) {
+      const Status st = stopped(opts, Boundary::kAdmission);
+      finalize_request(opts);
+      return st;
+    }
+
+    // The admission span is recorded unconditionally (an uncontended
+    // admit is a near-zero sample): "waited 0 ns" is signal, while a
+    // missing admission_wait series would read as an unwired timer.
+    util::Stopwatch admit_clock;
+    std::uint64_t depth = 0;
+    Status admitted = admit(opts.deadline, depth);
+    opts.phases->add(Phase::kAdmissionWait, static_cast<std::uint64_t>(admit_clock.nanos()));
+    if (!admitted.is_ok()) {
+      finalize_request(opts);
+      return admitted;
+    }
+
+    // Batched path: only one-stage scheduled-strategy requests coalesce
+    // (the conventional kernels are one launch already, there is
+    // nothing to amortize), and only when the cache budget admits a
+    // worthwhile lane count (see BatchOptions::cache_budget_bytes). The
+    // group key is the permuter object itself — the plan cache dedups
+    // compiled plans, so one hot plan is one address.
+    if (config_.batch.enabled() && view.size() == 1 &&
+        view[0]->strategy() == core::Strategy::kScheduled && view[0]->plan() != nullptr) {
+      const std::uint64_t lane_bytes = 3 * a.size() * sizeof(T);  // a + b + scratch
+      const std::uint64_t lanes = config_.batch.lanes_for(lane_bytes);
+      if (lanes >= BatchOptions::kMinFusedLanes) {
+        return enqueue_batched<T>(view[0], a, b, std::move(opts), depth, lanes);
+      }
+    }
+
+    // `view` may point into `stages`: it is dead once they move into
+    // the task, which rebuilds its own view.
+    std::future<Status> fut;
+    const auto enqueued_at = std::chrono::steady_clock::now();
+    try {
+      fut = pool_.submit_task([this, stages = std::move(stages), a, b, opts,
+                               enqueued_at]() -> Status {
+        Completion done(*this);
+        add_queue_wait(opts, enqueued_at, std::chrono::steady_clock::now());
+        const Status st = run_stages<T>(stage_view<T>(stages), a, b, opts);
+        finalize_request(opts);
+        return st;
+      });
+    } catch (...) {
+      // Enqueue failed (packaged_task / queue allocation): the task
+      // will never run, so its Completion never fires — roll the count
+      // back or wait_idle() and the destructor would block forever.
+      finish_one();
+      throw;  // a process-level problem, not a request outcome
+    }
+    if (metrics_) metrics_->record_submit(depth);
+    return fut;
+  }
+
+  /// The one task body, for a plain request (k = 1) and a staged
+  /// program alike: dequeue-time checks, pooled scratch, then the
+  /// stages back-to-back under the phase gate. Runs on a pool worker;
+  /// every outcome is a Status. A request that reaches execution
+  /// records exactly one execute sample.
+  template <class T>
+  Status run_stages(std::span<const Stage<T>> stages, std::span<const T> a, std::span<T> b,
+                    const SubmitOptions& opts) {
+    if (!live(opts)) return stopped(opts, Boundary::kQueued);
+    core::KernelObserver observer;
+    if (PhaseBreakdown* phases = opts.phases.get()) {
+      observer = [phases](unsigned kernel, std::uint64_t ns) {
+        phases->add(phase_for_kernel(kernel), ns);
+      };
+    }
+    util::Stopwatch clock;
+    const Status st = guarded([&]() -> Status {
+      inject_execute_faults();
+      const std::uint64_t n = a.size();
+      const std::size_t k = stages.size();
+      // One scratch block sized for the hungriest stage; each stage
+      // views exactly its own scratch_elements() of it.
+      std::uint64_t scratch_elems = 0;
+      for (const Stage<T>& stage : stages) {
+        scratch_elems = std::max(scratch_elems, stage->scratch_elements());
+      }
+      // NUMA placement: this body runs on a pool worker that (on
+      // multi-node machines) is pinned to one node, and try_acquire
+      // resolves to that node's free list — so the request's scratch,
+      // the kernel chunks the permute fans out (the pool's per-node
+      // queues prefer the submitting worker's node), and the pages
+      // first-touch-bound on a miss all share the worker's socket.
+      util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
+      // Ping-pong intermediates: none for k = 1 (straight a -> b), one
+      // for k = 2, two for k >= 3. RAII handles: every exit path below
+      // releases them back to the pool.
+      util::PooledBuffer ping =
+          k >= 2 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
+      util::PooledBuffer pong =
+          k >= 3 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
+      if (!scratch.valid() || (k >= 2 && !ping.valid()) || (k >= 3 && !pong.valid())) {
+        return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
+      }
+      std::span<const T> src = a;
+      for (std::size_t i = 0; i < k; ++i) {
+        if (i > 0) {
+          // The between-stage gate: a chain must not ride through its
+          // deadline on the back of stages that already ran.
+          if (!live(opts)) return stopped(opts, Boundary::kStage);
+          FaultInjector::instance().maybe_throw(fault_sites::kProgramStage,
+                                                StatusCode::kUnavailable,
+                                                "injected program stage failure");
+        }
+        const std::span<T> dst = (i + 1 == k)
+                                     ? b
+                                     : (i % 2 == 0 ? ping.template as_span<T>(n)
+                                                   : pong.template as_span<T>(n));
+        if (!stages[i]->permute_timed(
+                src, dst, scratch.template as_span<T>(stages[i]->scratch_elements()),
+                [&opts] { return live(opts); }, observer)) {
+          return stopped(opts, Boundary::kKernel);
+        }
+        src = dst;
+      }
+      return Status::ok();
+    });
+    const auto execute_ns = static_cast<std::uint64_t>(clock.nanos());
+    if (metrics_) metrics_->record_execute(execute_ns, st.is_ok());
+    return st;
+  }
 
   // --- Same-plan batching ------------------------------------------
 
@@ -426,10 +530,6 @@ class Executor {
       }
     }
   };
-
-  static bool expired(std::chrono::steady_clock::time_point deadline) noexcept {
-    return deadline != kNoDeadline && std::chrono::steady_clock::now() >= deadline;
-  }
 
   /// Gather an admitted request into its plan's group; flush the group
   /// when it reaches max_batch (the flusher thread owns the max_delay
@@ -488,7 +588,8 @@ class Executor {
 
   /// Execute one gathered batch on a pool worker: per-item dequeue
   /// checks, pooled scratch, one fused five-kernel sweep, per-item
-  /// resolution. Mirrors run_request_body's semantics per item.
+  /// resolution. Same checks, fault sites and Status mapping per item
+  /// as run_stages.
   template <class T>
   void run_batch(BatchGroup<T>& group) {
     const core::OfflinePermuter<T>& h = *group.permuter;
@@ -506,63 +607,33 @@ class Executor {
     const std::uint64_t scratch_elems = h.scratch_elements();
     for (std::size_t i = 0; i < group.items.size(); ++i) {
       BatchItem<T>& item = group.items[i];
-      if (item.opts.phases) {
-        const auto waited = now - item.enqueued_at;
-        item.opts.phases->add(
-            Phase::kQueueWait,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count()));
-      }
-      if (item.opts.cancel.cancelled()) {
-        if (metrics_) metrics_->record_cancelled();
-        resolve_item<T>(item, Status(StatusCode::kCancelled, "cancelled while queued"));
+      add_queue_wait(item.opts, item.enqueued_at, now);
+      if (!live(item.opts)) {
+        resolve_item<T>(item, stopped(item.opts, Boundary::kQueued));
         continue;
       }
-      if (expired(item.opts.deadline)) {
-        if (metrics_) metrics_->record_deadline_exceeded();
-        resolve_item<T>(item,
-                        Status(StatusCode::kDeadlineExceeded, "queued past the request deadline"));
-        continue;
-      }
-      try {
-        FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-        FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                              StatusCode::kResourceExhausted,
-                                              "scratch allocation failure");
-        FaultInjector::instance().maybe_throw(fault_sites::kPoolExhausted,
-                                              StatusCode::kResourceExhausted,
-                                              "buffer pool exhausted");
-        // Node-local scratch: see the placement note in
-        // run_request_body — every lane's scratch comes off the
-        // batch-running worker's node, so the whole fused batch stays
-        // on one socket.
+      const Status admitted = guarded([&]() -> Status {
+        inject_execute_faults();
+        // Node-local scratch: see the placement note in run_stages —
+        // every lane's scratch comes off the batch-running worker's
+        // node, so the whole fused batch stays on one socket.
         util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
         if (!scratch.valid()) {
-          if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-          resolve_item<T>(item,
-                          Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded"));
-          continue;
+          return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
         }
         core::BatchLane<T> lane;
         lane.a = item.a;
         lane.b = item.b;
         lane.scratch = scratch.template as_span<T>(scratch_elems);
-        lane.gate = [&item] {
-          return !item.opts.cancel.cancelled() && !expired(item.opts.deadline);
-        };
+        lane.gate = [&item] { return live(item.opts); };
         lanes.push_back(std::move(lane));
         lane_items.push_back(i);
         scratches.push_back(std::move(scratch));
-      } catch (const FaultInjectedError& e) {
+        return Status::ok();
+      });
+      if (!admitted.is_ok()) {
         if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        resolve_item<T>(item, Status(e.code, e.what()));
-      } catch (const std::bad_alloc&) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        resolve_item<T>(item,
-                        Status(StatusCode::kResourceExhausted, "allocation failed during execute"));
-      } catch (const std::exception& e) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        resolve_item<T>(item, Status(StatusCode::kUnavailable, e.what()));
+        resolve_item<T>(item, admitted);
       }
     }
     if (lanes.empty()) return;
@@ -579,15 +650,10 @@ class Executor {
         if (phases) phases->add(phase_for_kernel(kernel), ns);
       }
     };
-
-    Status sweep_error = Status::ok();
-    try {
+    const Status sweep = guarded([&]() -> Status {
       core::scheduled_cpu_sweep<T>(pool_, *h.plan(), lanes, observer);
-    } catch (const std::bad_alloc&) {
-      sweep_error = Status(StatusCode::kResourceExhausted, "allocation failed during execute");
-    } catch (const std::exception& e) {
-      sweep_error = Status(StatusCode::kUnavailable, e.what());
-    }
+      return Status::ok();
+    });
 
     const auto batch_ns = static_cast<std::uint64_t>(clock.nanos());
     if (metrics_) metrics_->record_batch(lanes.size());
@@ -602,24 +668,12 @@ class Executor {
 
     for (std::size_t l = 0; l < lanes.size(); ++l) {
       BatchItem<T>& item = group.items[lane_items[l]];
-      if (!sweep_error.is_ok()) {
-        if (metrics_) metrics_->record_execute(batch_ns, false);
-        resolve_item<T>(item, sweep_error);
-      } else if (lanes[l].active) {
-        if (metrics_) metrics_->record_execute(batch_ns, true);
-        resolve_item<T>(item, Status::ok());
-      } else {
-        // Gated off between kernels: same taxonomy as the single path.
-        if (metrics_) metrics_->record_execute(batch_ns, false);
-        if (item.opts.cancel.cancelled()) {
-          if (metrics_) metrics_->record_cancelled();
-          resolve_item<T>(item, Status(StatusCode::kCancelled, "cancelled between kernel phases"));
-        } else {
-          if (metrics_) metrics_->record_deadline_exceeded();
-          resolve_item<T>(item, Status(StatusCode::kDeadlineExceeded,
-                                       "deadline exceeded between kernel phases"));
-        }
-      }
+      // A lane gated off between kernels maps like the single path.
+      const Status st = !sweep.is_ok()      ? sweep
+                        : lanes[l].active ? Status::ok()
+                                          : stopped(item.opts, Boundary::kKernel);
+      if (metrics_) metrics_->record_execute(batch_ns, st.is_ok());
+      resolve_item<T>(item, st);
     }
   }
 
@@ -634,212 +688,6 @@ class Executor {
   /// Signal and join the flusher (idempotent).
   void stop_flusher();
 
-  /// The request task body: dequeue-time checks, then the gated
-  /// execute. Runs on a pool worker; every outcome is a Status. Every
-  /// exit path flushes the request's phase breakdown into the metrics
-  /// (and the slow-request log) exactly once.
-  template <class T>
-  Status run_request(const core::OfflinePermuter<T>& h, std::span<const T> a, std::span<T> b,
-                     const SubmitOptions& opts,
-                     std::chrono::steady_clock::time_point enqueued_at) {
-    Completion done(*this);
-    PhaseBreakdown* phases = opts.phases.get();
-    if (phases) {
-      const auto waited = std::chrono::steady_clock::now() - enqueued_at;
-      phases->add(Phase::kQueueWait,
-                  static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count()));
-    }
-    const Status st = run_request_body(h, a, b, opts, phases);
-    finalize_request(opts);
-    return st;
-  }
-
-  template <class T>
-  Status run_request_body(const core::OfflinePermuter<T>& h, std::span<const T> a,
-                          std::span<T> b, const SubmitOptions& opts, PhaseBreakdown* phases) {
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled while queued");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "queued past the request deadline");
-    }
-    core::KernelObserver observer;
-    if (phases) {
-      observer = [phases](unsigned kernel, std::uint64_t ns) {
-        phases->add(phase_for_kernel(kernel), ns);
-      };
-    }
-    util::Stopwatch clock;
-    try {
-      FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-      FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                            StatusCode::kResourceExhausted,
-                                            "scratch allocation failure");
-      FaultInjector::instance().maybe_throw(fault_sites::kPoolExhausted,
-                                            StatusCode::kResourceExhausted,
-                                            "buffer pool exhausted");
-      const std::uint64_t scratch_elems = h.scratch_elements();
-      // NUMA placement: this body runs on a pool worker that (on
-      // multi-node machines) is pinned to one node, and try_acquire
-      // resolves to that node's free list — so the request's scratch,
-      // the kernel chunks the permute fans out (the pool's per-node
-      // queues prefer the submitting worker's node), and the pages
-      // first-touch-bound on a miss all share the worker's socket.
-      util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
-      if (!scratch.valid()) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
-      }
-      const bool ran_to_completion = h.permute_timed(
-          a, b, scratch.template as_span<T>(scratch_elems),
-          [&opts] { return !opts.cancel.cancelled() && !expired(opts.deadline); }, observer);
-      if (!ran_to_completion) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        if (opts.cancel.cancelled()) {
-          if (metrics_) metrics_->record_cancelled();
-          return Status(StatusCode::kCancelled, "cancelled between kernel phases");
-        }
-        if (metrics_) metrics_->record_deadline_exceeded();
-        return Status(StatusCode::kDeadlineExceeded, "deadline exceeded between kernel phases");
-      }
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), true);
-      return Status::ok();
-    } catch (const FaultInjectedError& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(e.code, e.what());
-    } catch (const std::bad_alloc&) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kResourceExhausted, "allocation failed during execute");
-    } catch (const std::exception& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kUnavailable, e.what());
-    }
-  }
-
-  /// The staged-program task body (mirrors run_request): queue-wait
-  /// attribution, then the gated multi-stage execute; flushes the phase
-  /// breakdown exactly once.
-  template <class T>
-  Status run_program(const std::vector<std::shared_ptr<const core::OfflinePermuter<T>>>& stages,
-                     std::span<const T> a, std::span<T> b, const SubmitOptions& opts,
-                     std::chrono::steady_clock::time_point enqueued_at) {
-    Completion done(*this);
-    PhaseBreakdown* phases = opts.phases.get();
-    if (phases) {
-      const auto waited = std::chrono::steady_clock::now() - enqueued_at;
-      phases->add(Phase::kQueueWait,
-                  static_cast<std::uint64_t>(
-                      std::chrono::duration_cast<std::chrono::nanoseconds>(waited).count()));
-    }
-    const Status st = run_program_body(stages, a, b, opts, phases);
-    finalize_request(opts);
-    return st;
-  }
-
-  template <class T>
-  Status run_program_body(
-      const std::vector<std::shared_ptr<const core::OfflinePermuter<T>>>& stages,
-      std::span<const T> a, std::span<T> b, const SubmitOptions& opts,
-      PhaseBreakdown* phases) {
-    if (opts.cancel.cancelled()) {
-      if (metrics_) metrics_->record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled while queued");
-    }
-    if (expired(opts.deadline)) {
-      if (metrics_) metrics_->record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "queued past the request deadline");
-    }
-    core::KernelObserver observer;
-    if (phases) {
-      observer = [phases](unsigned kernel, std::uint64_t ns) {
-        phases->add(phase_for_kernel(kernel), ns);
-      };
-    }
-    util::Stopwatch clock;
-    try {
-      FaultInjector::instance().maybe_stall(fault_sites::kExecutorStall);
-      FaultInjector::instance().maybe_throw(fault_sites::kExecutorAlloc,
-                                            StatusCode::kResourceExhausted,
-                                            "scratch allocation failure");
-      FaultInjector::instance().maybe_throw(fault_sites::kPoolExhausted,
-                                            StatusCode::kResourceExhausted,
-                                            "buffer pool exhausted");
-      const std::uint64_t n = a.size();
-      const std::size_t k = stages.size();
-      // One scratch block sized for the hungriest stage; each stage
-      // views exactly its own scratch_elements() of it.
-      std::uint64_t scratch_elems = 0;
-      for (const auto& stage : stages) {
-        scratch_elems = std::max(scratch_elems, stage->scratch_elements());
-      }
-      util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
-      // Ping-pong intermediates: none for k = 1 (straight a -> b), one
-      // for k = 2, two for k >= 3. RAII handles: every exit path below
-      // — including the typed failures and the catch blocks — releases
-      // them back to the pool.
-      util::PooledBuffer ping =
-          k >= 2 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
-      util::PooledBuffer pong =
-          k >= 3 ? buffer_pool_->try_acquire(n * sizeof(T)) : util::PooledBuffer{};
-      if (!scratch.valid() || (k >= 2 && !ping.valid()) || (k >= 3 && !pong.valid())) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
-      }
-      std::span<const T> src = a;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (i > 0) {
-          // The between-stage gate: a chain must not ride through its
-          // deadline on the back of stages that already ran.
-          if (opts.cancel.cancelled()) {
-            if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-            if (metrics_) metrics_->record_cancelled();
-            return Status(StatusCode::kCancelled, "cancelled between program stages");
-          }
-          if (expired(opts.deadline)) {
-            if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-            if (metrics_) metrics_->record_deadline_exceeded();
-            return Status(StatusCode::kDeadlineExceeded,
-                          "deadline exceeded between program stages");
-          }
-        }
-        FaultInjector::instance().maybe_throw(fault_sites::kProgramStage,
-                                              StatusCode::kUnavailable,
-                                              "injected program stage failure");
-        const std::span<T> dst = (i + 1 == k)
-                                     ? b
-                                     : (i % 2 == 0 ? ping.template as_span<T>(n)
-                                                   : pong.template as_span<T>(n));
-        const bool ran = stages[i]->permute_timed(
-            src, dst, scratch.template as_span<T>(stages[i]->scratch_elements()),
-            [&opts] { return !opts.cancel.cancelled() && !expired(opts.deadline); }, observer);
-        if (!ran) {
-          if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-          if (opts.cancel.cancelled()) {
-            if (metrics_) metrics_->record_cancelled();
-            return Status(StatusCode::kCancelled, "cancelled between kernel phases");
-          }
-          if (metrics_) metrics_->record_deadline_exceeded();
-          return Status(StatusCode::kDeadlineExceeded, "deadline exceeded between kernel phases");
-        }
-        src = dst;
-      }
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), true);
-      return Status::ok();
-    } catch (const FaultInjectedError& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(e.code, e.what());
-    } catch (const std::bad_alloc&) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kResourceExhausted, "allocation failed during execute");
-    } catch (const std::exception& e) {
-      if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-      return Status(StatusCode::kUnavailable, e.what());
-    }
-  }
-
   /// Flush a request's phase breakdown into the per-phase histograms
   /// and, when armed and over threshold, the rate-limited slow log.
   void finalize_request(const SubmitOptions& opts) noexcept;
@@ -848,9 +696,6 @@ class Executor {
   /// success `depth_out` holds the in-flight count including this
   /// request (the queue-depth sample for metrics).
   Status admit(std::chrono::steady_clock::time_point deadline, std::uint64_t& depth_out);
-
-  /// Legacy-path admission: block unconditionally for a slot.
-  std::uint64_t admit_blocking();
 
   void finish_one() noexcept {
     std::lock_guard lock(idle_mutex_);

@@ -117,70 +117,13 @@ class RobustPermuteService {
   template <class T>
   StatusOr<std::future<Status>> submit(const perm::Permutation& p, std::span<const T> a,
                                        std::span<T> b, RequestOptions opts = {}) {
-    if (p.size() == 0) return Status(StatusCode::kInvalidArgument, "empty permutation");
-    if (a.size() != p.size() || b.size() != p.size()) {
-      return Status(StatusCode::kInvalidArgument, "array sizes do not match the permutation");
-    }
-    if (a.data() == b.data()) {
-      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
-    }
-    if (opts.cancel.cancelled()) {
-      metrics_.record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled before submission");
-    }
-    if (deadline_expired(opts.deadline)) {
-      metrics_.record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
-    }
+    if (Status refused = check_request(p.size(), a, b, opts); !refused.is_ok()) return refused;
 
     // The request's phase breakdown starts here: the plan tier fills
     // in lookup/build time, the executor adds admission/queue/kernel
     // spans and owns the final flush. Requests refused before reaching
     // the executor flush whatever they accumulated on the way out.
-    auto phases = std::make_shared<PhaseBreakdown>();
-    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-    bool degraded = false;
-    if (should_skip_build_for_deadline<T>(p, opts)) {
-      // Deadline pressure: an offline build would likely eat the whole
-      // budget; go straight to the conventional tier.
-      degraded = true;
-    } else {
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-          acquire_with_retry<T>(p, opts, phases.get());
-      if (acquired.ok()) {
-        permuter = std::move(acquired).value();
-      } else if (config_.allow_degraded && is_transient(acquired.status().code())) {
-        degraded = true;
-      } else {
-        metrics_.record_phases(*phases);
-        return acquired.status();
-      }
-    }
-
-    if (degraded) {
-      // The fallback's (cheap) construction is still plan-build time:
-      // the degraded tier trades the offline phase for extra memory
-      // rounds, and the breakdown should show that trade.
-      util::Stopwatch build_clock;
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-          build_conventional<T>(p);
-      phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-      if (!fallback.ok()) {
-        metrics_.record_phases(*phases);
-        return fallback.status();
-      }
-      permuter = std::move(fallback).value();
-    }
-
-    Executor::SubmitOptions submit_opts;
-    submit_opts.deadline = opts.deadline;
-    submit_opts.cancel = opts.cancel;
-    submit_opts.trace_id = opts.trace_id;
-    submit_opts.phases = std::move(phases);
-    StatusOr<std::future<Status>> submitted =
-        executor_.try_submit<T>(std::move(permuter), a, b, std::move(submit_opts));
-    if (submitted.ok() && degraded) metrics_.record_degraded();
-    return submitted;
+    return submit_permutation<T>(p, a, b, opts, std::make_shared<PhaseBreakdown>());
   }
 
   /// Execute a permutation *program* — a validated op chain over
@@ -212,21 +155,7 @@ class RobustPermuteService {
                                                const PlanResolver& resolver,
                                                std::span<const T> a, std::span<T> b,
                                                ProgramRequestOptions opts = {}) {
-    if (a.size() == 0) return Status(StatusCode::kInvalidArgument, "empty program input");
-    if (a.size() != b.size()) {
-      return Status(StatusCode::kInvalidArgument, "program input/output sizes differ");
-    }
-    if (a.data() == b.data()) {
-      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
-    }
-    if (opts.cancel.cancelled()) {
-      metrics_.record_cancelled();
-      return Status(StatusCode::kCancelled, "cancelled before submission");
-    }
-    if (deadline_expired(opts.deadline)) {
-      metrics_.record_deadline_exceeded();
-      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
-    }
+    if (Status refused = check_request(a.size(), a, b, opts); !refused.is_ok()) return refused;
 
     const std::uint64_t n = a.size();
     const std::uint64_t chain_depth = program.ops.size();
@@ -265,38 +194,16 @@ class RobustPermuteService {
       stages.reserve(resolved.stages.size());
       bool degraded = false;
       for (const auto& stage_perm : resolved.stages) {
-        std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-        if (!should_skip_build_for_deadline<T>(*stage_perm, opts)) {
-          StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-              acquire_with_retry<T>(*stage_perm, opts, phases.get());
-          if (acquired.ok()) {
-            permuter = std::move(acquired).value();
-          } else if (!config_.allow_degraded || !is_transient(acquired.status().code())) {
-            metrics_.record_phases(*phases);
-            return acquired.status();
-          }
+        StatusOr<LadderChoice<T>> choice = climb_ladder<T>(*stage_perm, opts, *phases);
+        if (!choice.ok()) {
+          metrics_.record_phases(*phases);
+          return choice.status();
         }
-        if (!permuter) {
-          util::Stopwatch build_clock;
-          StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-              build_conventional<T>(*stage_perm);
-          phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-          if (!fallback.ok()) {
-            metrics_.record_phases(*phases);
-            return fallback.status();
-          }
-          permuter = std::move(fallback).value();
-          degraded = true;
-        }
-        stages.push_back(std::move(permuter));
+        degraded = degraded || choice.value().degraded;
+        stages.push_back(std::move(choice.value().permuter));
       }
-      Executor::SubmitOptions submit_opts;
-      submit_opts.deadline = opts.deadline;
-      submit_opts.cancel = opts.cancel;
-      submit_opts.trace_id = opts.trace_id;
-      submit_opts.phases = std::move(phases);
-      StatusOr<std::future<Status>> submitted =
-          executor_.submit_program<T>(std::move(stages), a, b, std::move(submit_opts));
+      StatusOr<std::future<Status>> submitted = executor_.submit_program<T>(
+          std::move(stages), a, b, executor_options(opts, std::move(phases)));
       if (submitted.ok()) {
         metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kStaged);
         if (degraded) metrics_.record_degraded();
@@ -315,43 +222,10 @@ class RobustPermuteService {
     }
 
     // --- Fused: the composite rides the normal degradation ladder. ---
-    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-    bool degraded = false;
-    if (should_skip_build_for_deadline<T>(*composite, opts)) {
-      degraded = true;
-    } else {
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-          acquire_with_retry<T>(*composite, opts, phases.get());
-      if (acquired.ok()) {
-        permuter = std::move(acquired).value();
-      } else if (config_.allow_degraded && is_transient(acquired.status().code())) {
-        degraded = true;
-      } else {
-        metrics_.record_phases(*phases);
-        return acquired.status();
-      }
-    }
-    if (degraded) {
-      util::Stopwatch build_clock;
-      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-          build_conventional<T>(*composite);
-      phases->add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
-      if (!fallback.ok()) {
-        metrics_.record_phases(*phases);
-        return fallback.status();
-      }
-      permuter = std::move(fallback).value();
-    }
-    Executor::SubmitOptions submit_opts;
-    submit_opts.deadline = opts.deadline;
-    submit_opts.cancel = opts.cancel;
-    submit_opts.trace_id = opts.trace_id;
-    submit_opts.phases = std::move(phases);
     StatusOr<std::future<Status>> submitted =
-        executor_.try_submit<T>(std::move(permuter), a, b, std::move(submit_opts));
+        submit_permutation<T>(*composite, a, b, opts, std::move(phases));
     if (submitted.ok()) {
       metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kFused);
-      if (degraded) metrics_.record_degraded();
     }
     return submitted;
   }
@@ -370,6 +244,94 @@ class RobustPermuteService {
  private:
   static bool deadline_expired(std::chrono::steady_clock::time_point deadline) noexcept {
     return deadline != Executor::kNoDeadline && std::chrono::steady_clock::now() >= deadline;
+  }
+
+  /// The request prologue of submit and submit_program: `n` elements
+  /// in each of two disjoint arrays, not cancelled, not expired.
+  template <class T>
+  Status check_request(std::uint64_t n, std::span<const T> a, std::span<T> b,
+                       const RequestOptions& opts) {
+    if (n == 0) return Status(StatusCode::kInvalidArgument, "empty request");
+    if (a.size() != n || b.size() != n) {
+      return Status(StatusCode::kInvalidArgument, "array sizes do not match the request");
+    }
+    if (spans_overlap(a, b)) {
+      return Status(StatusCode::kInvalidArgument, "in-place permutation is not supported");
+    }
+    if (opts.cancel.cancelled()) {
+      metrics_.record_cancelled();
+      return Status(StatusCode::kCancelled, "cancelled before submission");
+    }
+    if (deadline_expired(opts.deadline)) {
+      metrics_.record_deadline_exceeded();
+      return Status(StatusCode::kDeadlineExceeded, "deadline already expired at submission");
+    }
+    return Status::ok();
+  }
+
+  static Executor::SubmitOptions executor_options(const RequestOptions& opts,
+                                                  std::shared_ptr<PhaseBreakdown> phases) {
+    Executor::SubmitOptions submit_opts;
+    submit_opts.deadline = opts.deadline;
+    submit_opts.cancel = opts.cancel;
+    submit_opts.trace_id = opts.trace_id;
+    submit_opts.phases = std::move(phases);
+    return submit_opts;
+  }
+
+  /// Serve `p` as one executor request through the ladder. `phases`
+  /// already holds whatever the caller attributed (program compile).
+  template <class T>
+  StatusOr<std::future<Status>> submit_permutation(const perm::Permutation& p,
+                                                   std::span<const T> a, std::span<T> b,
+                                                   const RequestOptions& opts,
+                                                   std::shared_ptr<PhaseBreakdown> phases) {
+    StatusOr<LadderChoice<T>> choice = climb_ladder<T>(p, opts, *phases);
+    if (!choice.ok()) {
+      metrics_.record_phases(*phases);
+      return choice.status();
+    }
+    StatusOr<std::future<Status>> submitted = executor_.try_submit<T>(
+        std::move(choice.value().permuter), a, b, executor_options(opts, std::move(phases)));
+    if (submitted.ok() && choice.value().degraded) metrics_.record_degraded();
+    return submitted;
+  }
+
+  /// A rung of the degradation ladder: the permuter that will serve,
+  /// and whether it is the conventional fallback.
+  template <class T>
+  struct LadderChoice {
+    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
+    bool degraded = false;
+  };
+
+  /// The degradation ladder for one permutation (rungs 1-3 of the file
+  /// comment): the cached or freshly built plan, retried on transient
+  /// failures; else, under deadline pressure or after a transient
+  /// failure, the conventional permuter. Plan lookup/build time lands
+  /// in `phases`.
+  template <class T>
+  StatusOr<LadderChoice<T>> climb_ladder(const perm::Permutation& p, const RequestOptions& opts,
+                                         PhaseBreakdown& phases) {
+    // Deadline pressure: an offline build would likely eat the whole
+    // budget; go straight to the conventional tier.
+    if (!should_skip_build_for_deadline<T>(p, opts)) {
+      StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
+          acquire_with_retry<T>(p, opts, &phases);
+      if (acquired.ok()) return LadderChoice<T>{std::move(acquired).value(), false};
+      if (!config_.allow_degraded || !is_transient(acquired.status().code())) {
+        return acquired.status();
+      }
+    }
+    // The fallback's (cheap) construction is still plan-build time:
+    // the degraded tier trades the offline phase for extra memory
+    // rounds, and the breakdown should show that trade.
+    util::Stopwatch build_clock;
+    StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
+        build_conventional<T>(p);
+    phases.add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
+    if (!fallback.ok()) return fallback.status();
+    return LadderChoice<T>{std::move(fallback).value(), true};
   }
 
   /// Deadline-pressure heuristic: with an uncached plan and a deadline

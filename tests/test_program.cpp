@@ -485,6 +485,47 @@ TEST(ServiceProgram, StagedStageFaultReleasesPooledBuffers) {
   EXPECT_TRUE(retry.value().get().is_ok());
 }
 
+TEST(ServiceProgram, StageFaultSiteNeverFiresBeforeTheFirstStage) {
+  // program.stage fails the boundaries *between* stages. A plain request
+  // and a one-op staged program have none, so with the site armed at
+  // rate 1.0 both still complete.
+  const std::uint64_t n = 1 << 10;
+  runtime::RobustPermuteService service(util::ThreadPool::global(), quiet_config());
+  Registry reg;
+  util::Xoshiro256 rng(556);
+  const perm::Permutation p = perm::random(n, rng);
+  Program program;
+  program.ops.push_back({ProgramOpCode::kPermute, reg.add(p)});
+  const std::vector<std::uint32_t> input = make_input<std::uint32_t>(n);
+  const std::vector<std::uint32_t> expect = apply_chain({p}, input);
+  auto permuter = service.cache().acquire<std::uint32_t>(p);
+
+  runtime::FaultInjector::Config fault;
+  fault.seed = 2;
+  fault.rate = 1.0;
+  fault.sites = std::string(runtime::fault_sites::kProgramStage);
+  runtime::ScopedFaultInjection armed(fault);
+
+  std::vector<std::uint32_t> plain_out(n);
+  auto plain = service.executor().try_submit<std::uint32_t>(permuter, {input.data(), n},
+                                                            {plain_out.data(), n});
+  ASSERT_TRUE(plain.ok()) << plain.status().to_string();
+  const Status plain_outcome = plain.value().get();
+  EXPECT_TRUE(plain_outcome.is_ok()) << plain_outcome.to_string();
+  EXPECT_EQ(plain_out, expect);
+
+  std::vector<std::uint32_t> staged_out(n);
+  runtime::ProgramRequestOptions opts;
+  opts.force_staged = true;
+  auto staged = service.submit_program<std::uint32_t>(
+      program, reg.resolver(), {input.data(), n}, {staged_out.data(), n}, opts);
+  ASSERT_TRUE(staged.ok()) << staged.status().to_string();
+  const Status staged_outcome = staged.value().get();
+  EXPECT_TRUE(staged_outcome.is_ok()) << staged_outcome.to_string();
+  EXPECT_EQ(staged_out, expect);
+  EXPECT_EQ(runtime::FaultInjector::instance().fired(runtime::fault_sites::kProgramStage), 0u);
+}
+
 // ---------------------------------------------------------- loopback
 
 struct Loopback {

@@ -319,6 +319,22 @@ TEST(ExecutorRobust, InvalidRequestsAreRefusedTyped) {
                                                 std::span<float>(b.data(), b.size()));
   ASSERT_FALSE(null_handle.ok());
   EXPECT_EQ(null_handle.status().code(), StatusCode::kInvalidArgument);
+
+  // Overlapping a and b, exactly (shift 0) or partially (shift 1): the
+  // kernels would read elements they already overwrote. Refused on
+  // both entry points before admission.
+  util::aligned_vector<float> shared = test::iota_data<float>(n + 1);
+  for (const std::uint64_t shift : {0u, 1u}) {
+    const std::span<const float> in(shared.data(), n);
+    const std::span<float> out(shared.data() + shift, n);
+    auto aliased = executor.try_submit<float>(h, in, out);
+    ASSERT_FALSE(aliased.ok()) << "shift " << shift;
+    EXPECT_EQ(aliased.status().code(), StatusCode::kInvalidArgument);
+    auto aliased_program = executor.submit_program<float>({h, h}, in, out);
+    ASSERT_FALSE(aliased_program.ok()) << "shift " << shift;
+    EXPECT_EQ(aliased_program.status().code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(executor.in_flight(), 0u);
 }
 
 TEST(ExecutorRobust, AdmissionRejectFailsFastAtTheBound) {
@@ -386,11 +402,15 @@ TEST(RobustService, ValidatesRequestsBeforeTouchingTheLadder) {
   ASSERT_FALSE(mismatched.ok());
   EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
 
-  util::aligned_vector<float> aliased = test::iota_data<float>(n);
+  util::aligned_vector<float> aliased = test::iota_data<float>(n + 1);
   auto in_place = fx.service.submit<float>(p, std::span<const float>(aliased.data(), n),
                                            std::span<float>(aliased.data(), n));
   ASSERT_FALSE(in_place.ok());
   EXPECT_EQ(in_place.status().code(), StatusCode::kInvalidArgument);
+  auto shifted = fx.service.submit<float>(p, std::span<const float>(aliased.data() + 1, n),
+                                          std::span<float>(aliased.data(), n));
+  ASSERT_FALSE(shifted.ok());
+  EXPECT_EQ(shifted.status().code(), StatusCode::kInvalidArgument);
 
   // Nothing was admitted or executed.
   EXPECT_EQ(fx.service.metrics().snapshot().submitted, 0u);

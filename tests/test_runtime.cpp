@@ -3,13 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -388,6 +391,16 @@ TEST(PlanCache, ConcurrentAcquiresBuildOnce) {
 
 // ------------------------------------------------------------------ executor
 
+/// try_submit that the test expects to be admitted: the future of its
+/// outcome.
+std::future<runtime::Status> submit_admitted(
+    runtime::Executor& executor, std::shared_ptr<const core::OfflinePermuter<float>> h,
+    std::span<const float> a, std::span<float> b) {
+  auto submitted = executor.try_submit<float>(std::move(h), a, b);
+  EXPECT_TRUE(submitted.ok()) << submitted.status().to_string();
+  return std::move(submitted).value();
+}
+
 TEST(Executor, ConcurrentSubmitsMatchSerialPermute) {
   const std::uint64_t n = 1 << 13;
   const MachineParams mp = MachineParams::gtx680();
@@ -419,13 +432,13 @@ TEST(Executor, ConcurrentSubmitsMatchSerialPermute) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      std::vector<std::future<void>> futs;
+      std::vector<std::future<runtime::Status>> futs;
       for (int r = 0; r < kPerThread; ++r) {
         auto& h = (t + r) % 2 == 0 ? h1 : h2;
-        futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                              std::span<float>(outs[t * kPerThread + r].data(), n)));
+        futs.push_back(submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                                       std::span<float>(outs[t * kPerThread + r].data(), n)));
       }
-      for (auto& f : futs) f.get();
+      for (auto& f : futs) EXPECT_TRUE(f.get().is_ok());
     });
   }
   for (auto& th : threads) th.join();
@@ -460,16 +473,16 @@ TEST(Executor, FutureDeliversResultPerRequest) {
 
   const auto a = test::iota_data<float>(n);
   util::aligned_vector<float> b(n);
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  fut.get();
+  auto fut = submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                             std::span<float>(b.data(), n));
+  ASSERT_TRUE(fut.get().is_ok());
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 
-TEST(Executor, ThrowingRequestDeliversExceptionAndReleasesItsSlot) {
-  // The legacy submit path: a failed request must surface its exception
-  // through the future, decrement in_flight_, and count as failed in
-  // the metrics — a wedged slot would hang wait_idle() and teardown.
+TEST(Executor, FailedRequestResolvesTypedAndReleasesItsSlot) {
+  // A failed request must resolve its future with the typed Status,
+  // decrement in_flight_, and count as failed in the metrics — a wedged
+  // slot would hang wait_idle() and teardown.
   // Regression (PR 4): a failed request used to count as completed AND
   // failed; the counters are disjoint now.
   const std::uint64_t n = 1 << 12;
@@ -482,9 +495,9 @@ TEST(Executor, ThrowingRequestDeliversExceptionAndReleasesItsSlot) {
 
   runtime::ScopedFaultInjection chaos(
       {.seed = 4, .rate = 1.0, .sites = std::string(runtime::fault_sites::kExecutorAlloc)});
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  EXPECT_THROW(fut.get(), runtime::FaultInjectedError);
+  auto fut = submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                             std::span<float>(b.data(), n));
+  EXPECT_EQ(fut.get().code(), runtime::StatusCode::kResourceExhausted);
   executor.wait_idle();
   EXPECT_EQ(executor.in_flight(), 0u);
 
@@ -507,12 +520,12 @@ TEST(Executor, RepeatedFailuresDoNotWedgeTheExecutor) {
   {
     runtime::ScopedFaultInjection chaos(
         {.seed = 4, .rate = 1.0, .sites = std::string(runtime::fault_sites::kExecutorAlloc)});
-    std::vector<std::future<void>> futs;
+    std::vector<std::future<runtime::Status>> futs;
     for (int r = 0; r < kRequests; ++r) {
-      futs.push_back(executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                            std::span<float>(b.data(), n)));
+      futs.push_back(submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                                     std::span<float>(b.data(), n)));
     }
-    for (auto& f : futs) EXPECT_THROW(f.get(), runtime::FaultInjectedError);
+    for (auto& f : futs) EXPECT_EQ(f.get().code(), runtime::StatusCode::kResourceExhausted);
     executor.wait_idle();  // must return despite every request failing
   }
   EXPECT_EQ(executor.in_flight(), 0u);
@@ -520,9 +533,9 @@ TEST(Executor, RepeatedFailuresDoNotWedgeTheExecutor) {
   EXPECT_EQ(snap.failed, static_cast<std::uint64_t>(kRequests));
 
   // The executor still serves healthy requests afterwards.
-  auto fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                    std::span<float>(b.data(), n));
-  fut.get();
+  auto fut = submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                             std::span<float>(b.data(), n));
+  ASSERT_TRUE(fut.get().is_ok());
   const perm::Permutation p = perm::bit_reversal(n);
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
@@ -538,7 +551,7 @@ TEST(Executor, WaitIdleForReportsStalledDrainThenRecovers) {
   // Idle executor: any timeout (even zero) reports idle immediately.
   EXPECT_TRUE(executor.wait_idle_for(std::chrono::nanoseconds(0)));
 
-  std::future<void> fut;
+  std::future<runtime::Status> fut;
   {
     // Stall the worker long enough that a short wait_idle_for times out.
     runtime::ScopedFaultInjection chaos(
@@ -546,11 +559,11 @@ TEST(Executor, WaitIdleForReportsStalledDrainThenRecovers) {
          .rate = 1.0,
          .stall_ms = 300,
          .sites = std::string(runtime::fault_sites::kExecutorStall)});
-    fut = executor.submit<float>(h, std::span<const float>(a.data(), n),
-                                 std::span<float>(b.data(), n));
+    fut = submit_admitted(executor, h, std::span<const float>(a.data(), n),
+                          std::span<float>(b.data(), n));
     EXPECT_FALSE(executor.wait_idle_for(std::chrono::milliseconds(10)));
     EXPECT_GE(executor.in_flight(), 1u);
-    fut.get();  // the stalled request still completes
+    EXPECT_TRUE(fut.get().is_ok());  // the stalled request still completes
   }
   EXPECT_TRUE(executor.wait_idle_for(std::chrono::seconds(30)));
   EXPECT_EQ(executor.in_flight(), 0u);
@@ -1051,6 +1064,120 @@ TEST(ExecutorPool, PoolExhaustedFaultSiteInjects) {
   const runtime::Status st = std::move(submitted).value().get();
   EXPECT_EQ(st.code(), runtime::StatusCode::kResourceExhausted) << st.to_string();
   executor.wait_idle();
+}
+
+// -------------------------------------------- one request path, two entries
+
+/// What one request leaves behind on a fresh metrics registry: its
+/// outcome code, the executor counters and every phase's sample count.
+struct PathOutcome {
+  runtime::StatusCode code = runtime::StatusCode::kOk;
+  std::uint64_t submitted = 0;
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t deadline_exceeded = 0;
+  std::array<std::uint64_t, runtime::kPhaseCount> phase_counts{};
+  bool operator==(const PathOutcome&) const = default;
+};
+
+/// The request conditions both entry points are compared under.
+struct PathCase {
+  std::string_view fault_site{};             ///< armed at rate 1.0; empty = none
+  std::chrono::milliseconds deadline{0};     ///< from submission; 0 = none
+  bool cancel_while_queued = false;
+};
+
+/// Submit one scheduled bit_reversal(4K) request — through try_submit,
+/// or as a one-stage submit_program — on a single-worker pool held busy
+/// until the request is queued, and report what it left behind.
+PathOutcome run_path(bool as_program, const PathCase& c) {
+  const std::uint64_t n = 1 << 12;
+  runtime::ServiceMetrics metrics;
+  util::ThreadPool pool(1);
+  std::promise<void> release;
+  auto blocker = pool.submit_task([held = release.get_future().share()] { held.wait(); });
+  runtime::Executor executor(pool, &metrics);
+  auto h = std::make_shared<const core::OfflinePermuter<float>>(
+      perm::bit_reversal(n), MachineParams::gtx680(), core::Strategy::kScheduled);
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> b(n);
+
+  std::optional<runtime::ScopedFaultInjection> faults;
+  if (!c.fault_site.empty()) {
+    // The stall outlasts the deadline case's budget, so that request
+    // passes its dequeue check and expires during the first kernel.
+    faults.emplace(runtime::FaultInjector::Config{
+        .seed = 3, .rate = 1.0, .stall_ms = 400, .sites = std::string(c.fault_site)});
+  }
+  runtime::CancelSource cancel;
+  runtime::Executor::SubmitOptions opts;
+  opts.cancel = cancel.token();
+  if (c.deadline.count() > 0) opts.deadline = std::chrono::steady_clock::now() + c.deadline;
+  const std::span<const float> in(a.data(), n);
+  const std::span<float> out(b.data(), n);
+  auto submitted = as_program ? executor.submit_program<float>({h}, in, out, opts)
+                              : executor.try_submit<float>(h, in, out, opts);
+  EXPECT_TRUE(submitted.ok()) << submitted.status().to_string();
+  if (c.cancel_while_queued) cancel.request_cancel();
+  release.set_value();
+  blocker.wait();
+
+  PathOutcome outcome;
+  outcome.code = std::move(submitted).value().get().code();
+  executor.wait_idle();
+  const runtime::MetricsSnapshot snap = metrics.snapshot();
+  outcome.submitted = snap.submitted;
+  outcome.completed = snap.completed;
+  outcome.failed = snap.failed;
+  outcome.cancelled = snap.cancelled;
+  outcome.deadline_exceeded = snap.deadline_exceeded;
+  for (runtime::Phase phase : runtime::all_phases()) {
+    outcome.phase_counts[static_cast<std::size_t>(phase)] = snap.phase(phase).count;
+  }
+  return outcome;
+}
+
+/// A plain request and a one-stage program take the same path, so every
+/// condition must end with the same code and the same metric deltas.
+PathOutcome expect_same_path(const PathCase& c, runtime::StatusCode expected) {
+  const PathOutcome request = run_path(false, c);
+  const PathOutcome program = run_path(true, c);
+  EXPECT_EQ(request.code, expected) << runtime::to_string(request.code);
+  EXPECT_EQ(request, program);
+  EXPECT_EQ(request.submitted, 1u);
+  return request;
+}
+
+TEST(ExecutorPaths, HealthyRequestMatchesOneStageProgram) {
+  expect_same_path({}, runtime::StatusCode::kOk);
+}
+
+TEST(ExecutorPaths, ExecutorAllocFaultMatchesOneStageProgram) {
+  expect_same_path({.fault_site = runtime::fault_sites::kExecutorAlloc},
+                   runtime::StatusCode::kResourceExhausted);
+}
+
+TEST(ExecutorPaths, PoolExhaustedFaultMatchesOneStageProgram) {
+  expect_same_path({.fault_site = runtime::fault_sites::kPoolExhausted},
+                   runtime::StatusCode::kResourceExhausted);
+}
+
+TEST(ExecutorPaths, CancelBeforeDequeueMatchesOneStageProgram) {
+  expect_same_path({.cancel_while_queued = true}, runtime::StatusCode::kCancelled);
+}
+
+TEST(ExecutorPaths, DeadlineBetweenKernelsMatchesOneStageProgram) {
+  const PathOutcome request = expect_same_path(
+      {.fault_site = runtime::fault_sites::kExecutorStall,
+       .deadline = std::chrono::milliseconds(150)},
+      runtime::StatusCode::kDeadlineExceeded);
+  // It tripped at a kernel boundary: the first kernel ran, the rest not.
+  const auto count = [&request](runtime::Phase phase) {
+    return request.phase_counts[static_cast<std::size_t>(phase)];
+  };
+  EXPECT_EQ(count(runtime::Phase::kKernelRowPass1), 1u);
+  EXPECT_EQ(count(runtime::Phase::kKernelTranspose1), 0u);
 }
 
 }  // namespace
