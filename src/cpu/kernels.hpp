@@ -20,7 +20,14 @@
 /// (gather/scatter/transpose) take the SIMD path only below 2^31
 /// elements; the row passes index within one row (cols ≤ 65536) and
 /// are always eligible.
+///
+/// Every serving kernel forks only above a grain: a chunk must carry at
+/// least `kMinChunkBytes` of memory traffic, so a small pass (a whole
+/// 8K-element request is a few hundred KiB of traffic) runs inline on
+/// the caller instead of paying a fork/join that costs more than the
+/// pass itself. Large passes keep today's partition.
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -30,7 +37,21 @@
 
 namespace hmm::cpu {
 
+/// Fork/join grain of the kernels below, in bytes of traffic per chunk
+/// (element reads + writes over all lanes, plus schedule or index
+/// reads). A pass with less than twice this much traffic runs on the
+/// calling thread. Chosen from the sweep in EXPERIMENTS.md
+/// ("Fork/join grain"); at n = 2^22 every kernel still splits into the
+/// pool's full chunk count.
+inline constexpr std::uint64_t kMinChunkBytes = 512u << 10;
+
 namespace detail {
+
+/// The grain in loop units for a kernel whose unit (element, row or
+/// tile) moves `unit_bytes`.
+constexpr std::uint64_t grain_units(std::uint64_t unit_bytes) noexcept {
+  return std::max<std::uint64_t>(1, kMinChunkBytes / std::max<std::uint64_t>(1, unit_bytes));
+}
 
 /// Global-index-space cap for the SIMD tiers: vpgather/vpscatter take
 /// signed 32-bit element indices.
@@ -56,13 +77,14 @@ void scatter(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->scatter != nullptr &&
                     a.size() < detail::kSimdIndexLimit;
+  const std::uint64_t grain = detail::grain_units(2 * sizeof(T) + sizeof(std::uint32_t));
   pool.parallel_for_chunks(0, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
     if (simd) {
       ops->scatter(a.data(), b.data(), p.data(), lo, hi);
       return;
     }
     for (std::uint64_t i = lo; i < hi; ++i) b[p[i]] = a[i];
-  });
+  }, 4, grain);
 }
 
 /// S-designated conventional permutation: b[i] = a[pinv[i]] (casual reads).
@@ -73,13 +95,14 @@ void gather(util::ThreadPool& pool, std::span<const T> a, std::span<T> b,
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->gather != nullptr &&
                     a.size() < detail::kSimdIndexLimit;
+  const std::uint64_t grain = detail::grain_units(2 * sizeof(T) + sizeof(std::uint32_t));
   pool.parallel_for_chunks(0, a.size(), [&](std::uint64_t lo, std::uint64_t hi) {
     if (simd) {
       ops->gather(a.data(), b.data(), pinv.data(), lo, hi);
       return;
     }
     for (std::uint64_t i = lo; i < hi; ++i) b[i] = a[pinv[i]];
-  });
+  }, 4, grain);
 }
 
 /// One row-wise permutation pass over a rows x cols row-major matrix,
@@ -95,6 +118,8 @@ void row_wise_pass(util::ThreadPool& pool, std::span<const T> in, std::span<T> o
   HMM_CHECK(in.size() == rows * cols && out.size() == rows * cols);
   HMM_CHECK(phat.size() == rows * cols && q.size() == rows * cols);
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
+  const std::uint64_t grain =
+      detail::grain_units(cols * (2 * sizeof(T) + 2 * sizeof(std::uint16_t)));
   pool.parallel_for_chunks(0, rows, [&](std::uint64_t r0, std::uint64_t r1) {
     if (ops != nullptr && ops->row_pass != nullptr) {
       ops->row_pass(in.data(), out.data(), cols, phat.data(), q.data(), r0, r1);
@@ -107,7 +132,7 @@ void row_wise_pass(util::ThreadPool& pool, std::span<const T> in, std::span<T> o
       const std::uint16_t* qq = q.data() + r * cols;
       for (std::uint64_t k = 0; k < cols; ++k) dst[qq[k]] = src[ph[k]];
     }
-  });
+  }, 4, grain);
 }
 
 /// Row-wise pass applying the row permutations directly (no schedule
@@ -119,6 +144,8 @@ void row_wise_pass_direct(util::ThreadPool& pool, std::span<const T> in, std::sp
                           std::uint64_t rows, std::uint64_t cols,
                           std::span<const std::uint16_t> g) {
   HMM_CHECK(in.size() == rows * cols && out.size() == rows * cols && g.size() == rows * cols);
+  const std::uint64_t grain =
+      detail::grain_units(cols * (2 * sizeof(T) + sizeof(std::uint16_t)));
   pool.parallel_for_chunks(0, rows, [&](std::uint64_t r0, std::uint64_t r1) {
     for (std::uint64_t r = r0; r < r1; ++r) {
       const T* src = in.data() + r * cols;
@@ -126,7 +153,7 @@ void row_wise_pass_direct(util::ThreadPool& pool, std::span<const T> in, std::sp
       const std::uint16_t* gr = g.data() + r * cols;
       for (std::uint64_t j = 0; j < cols; ++j) dst[gr[j]] = src[j];
     }
-  });
+  }, 4, grain);
 }
 
 /// Fused row-wise pass over `srcs.size()` independent (src, dst) matrix
@@ -149,6 +176,8 @@ void row_wise_pass_batched(util::ThreadPool& pool, std::span<const T* const> src
   HMM_CHECK(phat.size() == rows * cols && q.size() == rows * cols);
   const std::uint64_t lanes = srcs.size();
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
+  const std::uint64_t grain =
+      detail::grain_units(cols * (lanes * 2 * sizeof(T) + 2 * sizeof(std::uint16_t)));
   pool.parallel_for_chunks(0, rows, [&](std::uint64_t r0, std::uint64_t r1) {
     if (ops != nullptr && ops->row_pass_batched != nullptr) {
       ops->row_pass_batched(detail::erase_srcs(srcs), detail::erase_dsts(dsts), lanes,
@@ -187,7 +216,7 @@ void row_wise_pass_batched(util::ThreadPool& pool, std::span<const T* const> src
         for (std::uint64_t k = 0; k < cols; ++k) dst[qq[k]] = src[ph[k]];
       }
     }
-  });
+  }, 4, grain);
 }
 
 /// Blocked matrix transpose: out (cols x rows) = in (rows x cols)^T.
@@ -205,6 +234,7 @@ void transpose_blocked(util::ThreadPool& pool, std::span<const T> in, std::span<
   const simd::KernelOps* ops = active_kernel_ops(sizeof(T));
   const bool simd = ops != nullptr && ops->transpose_tiles != nullptr &&
                     rows * cols < detail::kSimdIndexLimit;
+  const std::uint64_t grain = detail::grain_units(tile * tile * 2 * sizeof(T));
   pool.parallel_for_chunks(0, tile_rows * tile_cols, [&](std::uint64_t t0, std::uint64_t t1) {
     if (simd) {
       ops->transpose_tiles(in.data(), out.data(), rows, cols, tile, tile_cols, t0, t1);
@@ -221,7 +251,7 @@ void transpose_blocked(util::ThreadPool& pool, std::span<const T> in, std::span<
         }
       }
     }
-  });
+  }, 4, grain);
 }
 
 /// Fused blocked transpose over independent (src, dst) pairs of equal
@@ -243,6 +273,7 @@ void transpose_blocked_batched(util::ThreadPool& pool, std::span<const T* const>
                     rows * cols < detail::kSimdIndexLimit;
   // The default tile is half the single-matrix transpose's: four lanes'
   // in+out tiles must fit L1 together for the quad path below.
+  const std::uint64_t grain = detail::grain_units(lanes * tile * tile * 2 * sizeof(T));
   pool.parallel_for_chunks(0, tiles, [&](std::uint64_t t0, std::uint64_t t1) {
     if (simd) {
       ops->transpose_tiles_batched(detail::erase_srcs(srcs), detail::erase_dsts(dsts),
@@ -287,7 +318,7 @@ void transpose_blocked_batched(util::ThreadPool& pool, std::span<const T* const>
         }
       }
     }
-  });
+  }, 4, grain);
 }
 
 /// Naive (row-streaming read, strided write) transpose for the tile

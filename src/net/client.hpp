@@ -115,16 +115,23 @@ class Client {
   [[nodiscard]] std::uint64_t reconnects() const noexcept { return reconnects_; }
 
  private:
-  /// Send `kind`+payload, receive the matching response frame.
+  /// Send `kind` with the payload `parts` (scatter-gather: the parts
+  /// are streamed, never concatenated) and receive the matching
+  /// response frame into the client's pooled response storage.
   /// Reconnects and resends on transport failure (up to max_retries);
   /// returns the raw response frame (kError frames included — callers
-  /// map them via ErrorResponse::to_status()).
-  runtime::StatusOr<Frame> roundtrip(MsgKind kind, std::vector<std::uint8_t> payload);
+  /// map them via ErrorResponse::to_status()). The view is valid until
+  /// the next request.
+  runtime::StatusOr<FrameView> roundtrip(MsgKind kind, std::span<const ConstBuffer> parts);
+
+  /// `roundtrip` of a request whose payload is the header fields in
+  /// `head` followed by the element words of `data`.
+  runtime::StatusOr<FrameView> roundtrip_elements(MsgKind kind, ByteWriter& head,
+                                                  std::span<const std::uint32_t> data);
 
   /// One attempt on the current connection; no retry logic.
-  runtime::StatusOr<Frame> roundtrip_once(MsgKind kind,
-                                          const std::vector<std::uint8_t>& payload,
-                                          std::uint64_t request_id);
+  runtime::StatusOr<FrameView> roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
+                                              std::uint64_t request_id);
 
   /// Next wire request id: trace prefix in the high half, sequence in
   /// the low half.
@@ -135,6 +142,10 @@ class Client {
 
   Config config_;
   TcpStream stream_;
+  /// Grow-only response payload storage: a steady stream of same-sized
+  /// requests reuses one pooled block instead of a fresh heap buffer
+  /// per response.
+  util::PooledBuffer response_storage_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t reconnects_ = 0;
 };

@@ -79,7 +79,11 @@ Status Server::start() {
   }
   std::uint32_t handlers = config_.handler_threads;
   if (handlers == 0) {
-    handlers = std::max(16u, 2 * std::max(1u, std::thread::hardware_concurrency()));
+    // Two per hardware thread: a handler only decodes, waits on the
+    // executor and encodes, so this keeps every executor worker fed
+    // with one request queued behind it. More handlers only add
+    // blocked threads, each with its own stack and malloc arena.
+    handlers = 2 * std::max(1u, std::thread::hardware_concurrency());
   }
   handler_threads_.reserve(handlers);
   for (std::uint32_t i = 0; i < handlers; ++i) {
@@ -562,6 +566,21 @@ Frame Server::handle_submit_plan(const FrameView& request) {
       SubmitPlanRequestView::decode(request.payload, max_elements);
   if (!req.ok()) return make_error_frame(request.request_id, req.status());
   const WordsView& mapping = req.value().mapping;
+  const auto plan_ok = [&request](std::uint64_t plan_id) {
+    ByteWriter w;
+    w.put_u64(plan_id);
+    return make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take());
+  };
+
+  // A plan the registry already holds is answered from the wire words
+  // in place: no copy, no validation, no allocation. The router replays
+  // SUBMIT_PLAN to every shard before each sharded request, so at 1M
+  // elements this skips 4 MiB of copy and two 1 MiB validation passes
+  // per shard per request. (A first registration hashes twice.)
+  if (const std::span<const std::uint32_t> wire = mapping.in_place(); !wire.empty()) {
+    const std::uint64_t plan_id = runtime::fingerprint_mapping(wire).value;
+    if (find_plan(plan_id)) return plan_ok(plan_id);
+  }
 
   // One copy, wire straight into the aligned storage the Permutation
   // keeps. (The former path decoded into a std::vector and copied that
@@ -573,8 +592,10 @@ Frame Server::handle_submit_plan(const FrameView& request) {
         request.request_id,
         Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: mapping is not a bijection"));
   }
-  auto plan = std::make_shared<const perm::Permutation>(std::move(words));
-  const std::uint64_t plan_id = runtime::fingerprint_permutation(*plan).value;
+  // The one hash of this plan's words: every later PERMUTE, program
+  // and shard request reuses the handle's fingerprint.
+  runtime::PlanHandle plan(std::make_shared<const perm::Permutation>(std::move(words)));
+  const std::uint64_t plan_id = plan.fingerprint().value;
 
   {
     std::lock_guard lock(plans_mutex_);
@@ -589,10 +610,13 @@ Frame Server::handle_submit_plan(const FrameView& request) {
       plans_registered_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  return plan_ok(plan_id);
+}
 
-  ByteWriter w;
-  w.put_u64(plan_id);
-  return make_ok_frame(request.request_id, MsgKind::kPlanOk, w.take());
+runtime::PlanHandle Server::find_plan(std::uint64_t plan_id) const {
+  std::lock_guard lock(plans_mutex_);
+  const auto it = plans_.find(plan_id);
+  return it == plans_.end() ? runtime::PlanHandle{} : it->second;
 }
 
 template <class Options, class Submit>
@@ -657,18 +681,13 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
   if (!req.ok()) return error_outbound(request.request_id, req.status());
   const PermuteRequestView& permute = req.value();
 
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(permute.plan_id);
-    if (it != plans_.end()) plan = it->second;
-  }
-  if (plan == nullptr) {
+  const runtime::PlanHandle plan = find_plan(permute.plan_id);
+  if (!plan) {
     return error_outbound(request.request_id,
                           Status(StatusCode::kInvalidArgument,
                                  "PERMUTE: unknown plan id (SUBMIT_PLAN it first)"));
   }
-  if (permute.data.count != plan->size()) {
+  if (permute.data.count != plan.permutation().size()) {
     return error_outbound(request.request_id,
                           Status(StatusCode::kInvalidArgument,
                                  "PERMUTE: element count does not match the plan size"));
@@ -678,7 +697,7 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
                         runtime::RequestOptions{},
                         [&](std::span<const std::uint32_t> in, std::span<std::uint32_t> out,
                             const runtime::RequestOptions& opts) {
-                          return service_.submit<std::uint32_t>(*plan, in, out, opts);
+                          return service_.submit<std::uint32_t>(plan, in, out, opts);
                         });
 }
 
@@ -694,9 +713,7 @@ OutboundFrame Server::handle_program(const FrameView& request) {
   // has at most kMaxProgramOps of them.
   const runtime::PlanResolver resolver =
       [this](std::uint64_t fingerprint) -> std::shared_ptr<const perm::Permutation> {
-    std::lock_guard lock(plans_mutex_);
-    const auto it = plans_.find(fingerprint);
-    return it == plans_.end() ? nullptr : it->second;
+    return find_plan(fingerprint).shared();
   };
   runtime::Program program;
   program.ops = program_req.ops;
@@ -818,28 +835,25 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
     deadline = std::min(deadline, started + std::chrono::milliseconds(exec.deadline_ms));
   }
 
-  std::shared_ptr<const perm::Permutation> plan;
-  {
-    std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(exec.plan_id);
-    if (it != plans_.end()) plan = it->second;
-  }
-  if (plan == nullptr) {
+  const runtime::PlanHandle plan = find_plan(exec.plan_id);
+  if (!plan) {
     return fail(Status(StatusCode::kInvalidArgument,
                        "SHARD_EXEC: unknown plan id (SUBMIT_PLAN it first)"));
   }
-  if (plan->size() != exec.rows * exec.cols) {
+  if (plan.permutation().size() != exec.rows * exec.cols) {
     return fail(Status(StatusCode::kInvalidArgument,
                        "SHARD_EXEC: matrix shape does not match the plan size"));
   }
 
   // Compile (or fetch) the *full* scheduled plan — cached by
   // fingerprint, so every band of a hot plan shares one compile — and
-  // slice this shard's rows of each pass as subspans.
-  std::shared_ptr<const core::OfflinePermuter<std::uint32_t>> permuter =
-      service_.cache().acquire<std::uint32_t>(*plan, service_.config().machine,
-                                              core::Strategy::kScheduled);
-  const core::ScheduledPlan* splan = permuter->plan();
+  // slice this shard's rows of each pass as subspans. A failed build
+  // (fault, allocation) aborts the session typed like any other step.
+  StatusOr<std::shared_ptr<const core::OfflinePermuter<std::uint32_t>>> permuter =
+      service_.cache().try_acquire<std::uint32_t>(plan, service_.config().machine,
+                                                  core::Strategy::kScheduled);
+  if (!permuter.ok()) return fail(permuter.status());
+  const core::ScheduledPlan* splan = permuter.value()->plan();
   if (splan == nullptr) {
     return fail(Status(StatusCode::kInvalidArgument,
                        "SHARD_EXEC: plan is not schedulable on this machine"));

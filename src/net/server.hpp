@@ -41,10 +41,12 @@
 ///    waits for the executor to go idle.
 ///
 /// Plans are registered once via SUBMIT_PLAN and shared by all
-/// connections: the registry maps the mapping's fingerprint to the
-/// `perm::Permutation`, and the `RobustPermuteService`'s PlanCache
+/// connections: the registry maps the mapping's fingerprint to a
+/// `runtime::PlanHandle` (the permutation plus that fingerprint, hashed
+/// once at SUBMIT_PLAN), and the `RobustPermuteService`'s PlanCache
 /// keys compiled plans off the same fingerprint — a hot plan is
-/// compiled once, no matter how many connections use it.
+/// compiled once, no matter how many connections use it, and no later
+/// request re-reads its words to find it.
 
 #include <atomic>
 #include <chrono>
@@ -85,9 +87,9 @@ class Server {
     /// accept time. Two saturate loopback on most boxes; raise it for
     /// many-NIC or many-core frontends.
     std::uint32_t io_threads = 2;
-    /// Request-execution workers (0 = auto: max(16, 2 x hardware
-    /// threads)). This bounds concurrent PERMUTE/PROGRAM dispatches,
-    /// not connections — idle connections cost no thread anywhere.
+    /// Request-execution workers (0 = auto: 2 x hardware threads).
+    /// This bounds concurrent PERMUTE/PROGRAM dispatches, not
+    /// connections — idle connections cost no thread anywhere.
     std::uint32_t handler_threads = 0;
     /// Mid-frame stall budget: a connection that has started a frame
     /// (or has an unflushed response) and makes no progress for this
@@ -287,6 +289,9 @@ class Server {
   Frame handle_submit_plan(const FrameView& request);
   Frame handle_stats(std::uint64_t request_id);
 
+  /// The registered plan for a wire plan id; empty when unknown.
+  [[nodiscard]] runtime::PlanHandle find_plan(std::uint64_t plan_id) const;
+
   /// Build the [u64 count | elements] success response shared by
   /// PERMUTE_OK / PROGRAM_OK / SHARD_EXEC_OK: the count header rides in
   /// the frame's inline prefix, the element bytes leave straight from
@@ -331,7 +336,7 @@ class Server {
   std::atomic<std::uint32_t> active_connections_{0};
 
   mutable std::mutex plans_mutex_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const perm::Permutation>> plans_;
+  std::unordered_map<std::uint64_t, runtime::PlanHandle> plans_;
 
   ShardSessionRegistry shard_sessions_;
 

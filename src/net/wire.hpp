@@ -7,18 +7,20 @@
 ///
 ///   offset  size  field
 ///        0     4  magic        'H' 'M' 'M' 'P'
-///        4     2  version      u16 LE (currently 1)
+///        4     2  version      u16 LE (currently 2)
 ///        6     2  kind         u16 LE (protocol.hpp enumerates kinds)
 ///        8     8  request_id   u64 LE (echoed verbatim in the response)
 ///       16     4  payload_len  u32 LE (bounded by the peer's limit)
-///       20     8  checksum     u64 LE, FNV-1a64 over the payload bytes
+///       20     8  checksum     u64 LE, CRC-32C of the payload bytes,
+///                              zero-extended (high 32 bits are 0)
 ///       28     …  payload
 ///
 /// The framing layer treats `kind` and the payload as opaque; it owns
 /// exactly the properties a byte stream can violate: truncation, a
 /// foreign magic, an unknown framing version, a length that exceeds the
-/// receiver's budget, and payload corruption (the checksum reuses
-/// `runtime::Fnv1a64`, the same hash the plan cache keys on). Decoding
+/// receiver's budget, and payload corruption (CRC-32C, computed with
+/// the SSE4.2 `crc32` instruction where the CPU has it and by a
+/// slice-by-8 table otherwise — see docs/PROTOCOL.md). Decoding
 /// is strict and bounds-checked — no field is read past the end of the
 /// buffer, and every rejection is a distinct `FrameError` so tests and
 /// metrics can tell a short read from a corrupt one.
@@ -40,7 +42,9 @@ namespace hmm::net {
 
 /// "HMMP" as a little-endian u32 (bytes on the wire: 'H','M','M','P').
 inline constexpr std::uint32_t kMagic = 0x504d4d48u;
-inline constexpr std::uint16_t kWireVersion = 1;
+/// Version 2 switched the checksum from FNV-1a64 to CRC-32C; a v1 peer
+/// is refused as kBadVersion rather than failing every checksum.
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 28;
 /// Default per-frame payload budget (requests carry whole arrays).
 inline constexpr std::uint32_t kDefaultMaxPayload = 64u << 20;
@@ -67,14 +71,32 @@ enum class FrameError {
 
 [[nodiscard]] std::string_view to_string(FrameError e) noexcept;
 
-/// FNV-1a64 over a byte span (the frame checksum).
+/// The frame checksum: standard CRC-32C (Castagnoli; reflected
+/// polynomial 0x82F63B78, init and final xor 0xFFFFFFFF) of a byte
+/// span, zero-extended to the u64 header field.
 [[nodiscard]] std::uint64_t checksum_bytes(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Streaming form of the frame checksum, for scatter-gather senders
 /// that never materialize the payload as one buffer:
 /// `checksum_extend(checksum_extend(seed, a), b) == checksum_bytes(a ++ b)`.
+/// The seed is 0 and `checksum_extend(s, x) = ~crc(~s, x)`, so every
+/// intermediate state is itself the CRC-32C of the bytes so far.
 [[nodiscard]] std::uint64_t checksum_seed() noexcept;
 [[nodiscard]] std::uint64_t checksum_extend(std::uint64_t state,
+                                            std::span<const std::uint8_t> bytes) noexcept;
+
+/// The two CRC-32C engines behind the checksum, exposed so tests can
+/// hold them bit-identical. Both take and return the finished digest
+/// (`checksum_extend` semantics). The frame path uses the hardware one
+/// when `crc32c_hardware_available()` and the active kernel variant is
+/// not `scalar` (HMM_KERNEL_VARIANT=scalar also selects the portable
+/// CRC), and the portable slice-by-8 one otherwise.
+[[nodiscard]] std::uint32_t crc32c_portable(std::uint32_t crc,
+                                            std::span<const std::uint8_t> bytes) noexcept;
+/// True when the CPU has SSE4.2 and this build compiled the path in.
+[[nodiscard]] bool crc32c_hardware_available() noexcept;
+/// Pre: `crc32c_hardware_available()`.
+[[nodiscard]] std::uint32_t crc32c_hardware(std::uint32_t crc,
                                             std::span<const std::uint8_t> bytes) noexcept;
 
 /// Serialize a frame (header + payload) into a fresh buffer.

@@ -3,8 +3,13 @@
 namespace hmm::runtime {
 namespace {
 
-/// Bumped whenever the key schema changes (fields, order, widths).
+/// Schema tag of the mapping fingerprint (the wire plan id). Bumping
+/// it changes every plan id, so it stays 1.
 constexpr std::uint64_t kKeySchemaVersion = 1;
+/// Schema tag of the plan-cache key; bumped whenever its fields, order
+/// or widths change. (1 hashed the words inline; 2 mixes the mapping
+/// fingerprint.)
+constexpr std::uint64_t kPlanKeySchemaVersion = 2;
 
 }  // namespace
 
@@ -27,11 +32,10 @@ Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words) {
   return Fingerprint{h.digest()};
 }
 
-Fingerprint fingerprint_plan_key(const perm::Permutation& p,
-                                 const model::MachineParams& machine, int strategy_tag,
-                                 std::uint32_t elem_bytes) {
+Fingerprint fingerprint_plan_key(Fingerprint mapping, const model::MachineParams& machine,
+                                 int strategy_tag, std::uint32_t elem_bytes) {
   Fnv1a64 h;
-  h.update_u64(kKeySchemaVersion);
+  h.update_u64(kPlanKeySchemaVersion);
   h.update_u32(machine.width);
   h.update_u32(machine.latency);
   h.update_u32(machine.shared_latency);
@@ -39,9 +43,14 @@ Fingerprint fingerprint_plan_key(const perm::Permutation& p,
   h.update_u64(machine.shared_bytes);
   h.update_u32(static_cast<std::uint32_t>(strategy_tag));
   h.update_u32(elem_bytes);
-  h.update_u64(p.size());
-  h.update_u32_span(p.data());
+  h.update_u64(mapping.value);
   return Fingerprint{h.digest()};
+}
+
+Fingerprint fingerprint_plan_key(const perm::Permutation& p,
+                                 const model::MachineParams& machine, int strategy_tag,
+                                 std::uint32_t elem_bytes) {
+  return fingerprint_plan_key(fingerprint_permutation(p), machine, strategy_tag, elem_bytes);
 }
 
 }  // namespace hmm::runtime

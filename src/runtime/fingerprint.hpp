@@ -5,8 +5,11 @@
 /// A compiled `core::OfflinePermuter` is fully determined by
 ///   (permutation mapping, machine parameters, strategy, element width),
 /// so the plan cache keys entries by an FNV-1a hash over exactly those
-/// inputs. The hash is seeded with a format-version salt so a change to
-/// the key schema can never silently alias keys of an older scheme.
+/// inputs: the mapping is hashed once into its fingerprint (which is
+/// also the wire plan id, carried by a `PlanHandle`), and the key mixes
+/// that fingerprint with the rest. Each hash is seeded with its own
+/// schema tag so a change to either schema can never silently alias
+/// values of an older one.
 ///
 /// FNV-1a is not collision-free; the cache treats the fingerprint as an
 /// identity (no stored-key comparison) because a 64-bit hash over the
@@ -16,6 +19,7 @@
 /// differing in a single image get unrelated keys.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "model/machine.hpp"
@@ -72,12 +76,54 @@ struct Fingerprint {
 /// Permutation built from the same words (tested as such).
 [[nodiscard]] Fingerprint fingerprint_mapping(std::span<const std::uint32_t> words);
 
-/// Full plan-cache key: permutation words + machine parameters +
-/// strategy tag + element width in bytes. `strategy_tag` is the integer
-/// value of `core::Strategy` (kept as an int here so this header does
-/// not depend on core/).
+/// Full plan-cache key: the mapping fingerprint mixed with machine
+/// parameters + strategy tag + element width in bytes, under its own
+/// schema tag (so a key never equals a plan id). `strategy_tag` is the
+/// integer value of `core::Strategy` (kept as an int here so this
+/// header does not depend on core/). O(1): the words were hashed once,
+/// into `mapping`.
+[[nodiscard]] Fingerprint fingerprint_plan_key(Fingerprint mapping,
+                                               const model::MachineParams& machine,
+                                               int strategy_tag, std::uint32_t elem_bytes);
+
+/// The same key for a raw permutation: hashes the words, then mixes.
 [[nodiscard]] Fingerprint fingerprint_plan_key(const perm::Permutation& p,
                                                const model::MachineParams& machine,
                                                int strategy_tag, std::uint32_t elem_bytes);
+
+/// A shared permutation together with its mapping fingerprint, hashed
+/// exactly once. The server mints one per SUBMIT_PLAN and serves every
+/// later request from it, so a cache hit costs a key mix instead of a
+/// pass over the words. The only way to make a non-empty handle is the
+/// constructor, which hashes; the fingerprint can therefore never
+/// disagree with the words (the permutation is immutable).
+class PlanHandle {
+ public:
+  PlanHandle() = default;
+  explicit PlanHandle(std::shared_ptr<const perm::Permutation> p)
+      : perm_(std::move(p)), fp_(perm_ ? fingerprint_permutation(*perm_) : Fingerprint{}) {}
+
+  /// A handle that does not own `p` — for the raw-`Permutation`
+  /// overloads, which hash once and then run the handle path within a
+  /// single call. Valid only while `p` lives; never store one.
+  [[nodiscard]] static PlanHandle borrow(const perm::Permutation& p) {
+    // Aliasing constructor with an empty owner: points at p, owns nothing.
+    return PlanHandle(
+        std::shared_ptr<const perm::Permutation>(std::shared_ptr<const void>(), &p));
+  }
+
+  [[nodiscard]] explicit operator bool() const noexcept { return perm_ != nullptr; }
+  /// Pre: non-empty.
+  [[nodiscard]] const perm::Permutation& permutation() const noexcept { return *perm_; }
+  [[nodiscard]] const std::shared_ptr<const perm::Permutation>& shared() const noexcept {
+    return perm_;
+  }
+  /// `fingerprint_permutation(permutation())` — the wire plan id.
+  [[nodiscard]] Fingerprint fingerprint() const noexcept { return fp_; }
+
+ private:
+  std::shared_ptr<const perm::Permutation> perm_;
+  Fingerprint fp_;
+};
 
 }  // namespace hmm::runtime

@@ -8,9 +8,10 @@
 /// exploitation of that property — repeated permutations skip the
 /// offline phase entirely and hit an already-compiled permuter.
 ///
-/// Keying: the 64-bit plan fingerprint (fingerprint.hpp) over the
-/// permutation words + machine parameters + strategy + element width,
-/// further mixed with a per-element-type token: entries are typed
+/// Keying: the 64-bit plan key (fingerprint.hpp) — the permutation's
+/// mapping fingerprint, computed once per `PlanHandle`, mixed with the
+/// machine parameters + strategy + element width — further mixed with
+/// a per-element-type token: entries are typed
 /// (`OfflinePermuter<T>`), so two distinct types of the same width
 /// (float vs int32) must occupy distinct slots even though their
 /// compiled plans are structurally identical.
@@ -59,10 +60,11 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Get-or-compile the permuter for (p, machine, strategy, T). Hits
-  /// return in O(1) without touching the offline phase; misses compile
-  /// outside the cache lock. Throws whatever the build throws (and the
-  /// failed key is erased, so a later acquire retries).
+  /// Get-or-compile the permuter for (plan, machine, strategy, T). Hits
+  /// return in O(1) without touching the offline phase or the words
+  /// (the key mixes the handle's fingerprint); misses compile outside
+  /// the cache lock. Throws whatever the build throws (and the failed
+  /// key is erased, so a later acquire retries).
   ///
   /// `phases` (optional) receives the request's time attribution:
   /// kPlanLookup covers the index probe, kPlanBuild covers an actual
@@ -70,11 +72,11 @@ class PlanCache {
   /// clean hit on a completed entry records no kPlanBuild span.
   template <class T>
   std::shared_ptr<const core::OfflinePermuter<T>> acquire(
-      const perm::Permutation& p,
+      const PlanHandle& plan,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
       core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
     util::Stopwatch lookup_clock;
-    const Fingerprint fp = typed_key<T>(p, machine, strategy);
+    const Fingerprint fp = typed_key<T>(plan.fingerprint(), machine, strategy);
     std::promise<std::shared_ptr<EntryBase>> promise;
     std::shared_future<std::shared_ptr<EntryBase>> ready;
     bool builder = false;
@@ -105,7 +107,7 @@ class PlanCache {
         faults.maybe_stall(fault_sites::kPlanBuildStall);
         faults.maybe_throw(fault_sites::kPlanBuild, StatusCode::kPlanBuildFailed,
                            "plan build failure");
-        entry = std::make_shared<TypedEntry<T>>(p, machine, strategy);
+        entry = std::make_shared<TypedEntry<T>>(plan.permutation(), machine, strategy);
       } catch (...) {
         erase(fp.value, my_generation);
         promise.set_exception(std::current_exception());
@@ -137,6 +139,17 @@ class PlanCache {
     return typed->permuter;
   }
 
+  /// The same for a raw permutation: hashes the words once (charged to
+  /// kPlanLookup, since a handle would have skipped it), then runs the
+  /// handle path.
+  template <class T>
+  std::shared_ptr<const core::OfflinePermuter<T>> acquire(
+      const perm::Permutation& p,
+      const model::MachineParams& machine = model::MachineParams::gtx680(),
+      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+    return acquire<T>(hash_timed(p, phases), machine, strategy, phases);
+  }
+
   /// Non-throwing `acquire`: build (and waiter) failures come back as a
   /// typed Status instead of an exception. This is the serving-path
   /// entry point — `RobustPermuteService` retries / degrades on the
@@ -146,11 +159,11 @@ class PlanCache {
   ///   - anything else thrown -> kPlanBuildFailed with the what() string
   template <class T>
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> try_acquire(
-      const perm::Permutation& p,
+      const PlanHandle& plan,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
       core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
     try {
-      return acquire<T>(p, machine, strategy, phases);
+      return acquire<T>(plan, machine, strategy, phases);
     } catch (const FaultInjectedError& e) {
       return Status(e.code, e.what());
     } catch (const std::bad_alloc&) {
@@ -160,15 +173,33 @@ class PlanCache {
     }
   }
 
-  /// The exact key `acquire<T>` files an entry under: the plan
-  /// fingerprint mixed with the per-type token. Use this (not the raw
-  /// `fingerprint_plan_key`) when probing `contains()`.
+  /// Raw-permutation `try_acquire`: hash once, then the handle path.
+  template <class T>
+  StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> try_acquire(
+      const perm::Permutation& p,
+      const model::MachineParams& machine = model::MachineParams::gtx680(),
+      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+    return try_acquire<T>(hash_timed(p, phases), machine, strategy, phases);
+  }
+
+  /// The exact key `acquire<T>` files an entry under: the plan key of
+  /// the handle's fingerprint mixed with the per-type token. Use this
+  /// (not the raw `fingerprint_plan_key`) when probing `contains()`.
+  template <class T>
+  [[nodiscard]] static Fingerprint plan_key(
+      const PlanHandle& plan,
+      const model::MachineParams& machine = model::MachineParams::gtx680(),
+      core::Strategy strategy = core::Strategy::kAuto) {
+    return typed_key<T>(plan.fingerprint(), machine, strategy);
+  }
+
+  /// Raw-permutation `plan_key`: hash once, then the handle key.
   template <class T>
   [[nodiscard]] static Fingerprint plan_key(
       const perm::Permutation& p,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
       core::Strategy strategy = core::Strategy::kAuto) {
-    return typed_key<T>(p, machine, strategy);
+    return plan_key<T>(PlanHandle::borrow(p), machine, strategy);
   }
 
   /// True iff a *completed* entry for this key is resident.
@@ -209,10 +240,19 @@ class PlanCache {
     return token;
   }
 
+  /// Borrowed handle for a raw-permutation overload, with the hash
+  /// charged to kPlanLookup.
+  static PlanHandle hash_timed(const perm::Permutation& p, PhaseBreakdown* phases) {
+    util::Stopwatch clock;
+    PlanHandle plan = PlanHandle::borrow(p);
+    if (phases) phases->add(Phase::kPlanLookup, static_cast<std::uint64_t>(clock.nanos()));
+    return plan;
+  }
+
   template <class T>
-  static Fingerprint typed_key(const perm::Permutation& p, const model::MachineParams& machine,
+  static Fingerprint typed_key(Fingerprint mapping, const model::MachineParams& machine,
                                core::Strategy strategy) {
-    const Fingerprint fp = fingerprint_plan_key(p, machine, static_cast<int>(strategy),
+    const Fingerprint fp = fingerprint_plan_key(mapping, machine, static_cast<int>(strategy),
                                                 static_cast<std::uint32_t>(sizeof(T)));
     Fnv1a64 h;
     h.update_u64(fp.value);

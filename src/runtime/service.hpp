@@ -113,17 +113,34 @@ class RobustPermuteService {
   /// Validate, resolve the degradation ladder, submit. A synchronous
   /// error Status means the request was refused and never executed; an
   /// OK result carries the future with the request outcome. Arrays must
-  /// stay alive and un-mutated until that future resolves.
+  /// stay alive and un-mutated until that future resolves. The plan's
+  /// words are not read on a cache hit: the key mixes the handle's
+  /// fingerprint.
   template <class T>
-  StatusOr<std::future<Status>> submit(const perm::Permutation& p, std::span<const T> a,
+  StatusOr<std::future<Status>> submit(const PlanHandle& plan, std::span<const T> a,
                                        std::span<T> b, RequestOptions opts = {}) {
-    if (Status refused = check_request(p.size(), a, b, opts); !refused.is_ok()) return refused;
-
+    if (Status refused = check_request(plan.permutation().size(), a, b, opts);
+        !refused.is_ok()) {
+      return refused;
+    }
     // The request's phase breakdown starts here: the plan tier fills
     // in lookup/build time, the executor adds admission/queue/kernel
     // spans and owns the final flush. Requests refused before reaching
     // the executor flush whatever they accumulated on the way out.
-    return submit_permutation<T>(p, a, b, opts, std::make_shared<PhaseBreakdown>());
+    return submit_permutation<T>(plan, a, b, opts, std::make_shared<PhaseBreakdown>());
+  }
+
+  /// The same for a raw permutation: hashes the words once per call
+  /// (charged to plan_lookup), then runs the handle path.
+  template <class T>
+  StatusOr<std::future<Status>> submit(const perm::Permutation& p, std::span<const T> a,
+                                       std::span<T> b, RequestOptions opts = {}) {
+    if (Status refused = check_request(p.size(), a, b, opts); !refused.is_ok()) return refused;
+    auto phases = std::make_shared<PhaseBreakdown>();
+    util::Stopwatch hash_clock;
+    const PlanHandle plan = PlanHandle::borrow(p);
+    phases->add(Phase::kPlanLookup, static_cast<std::uint64_t>(hash_clock.nanos()));
+    return submit_permutation<T>(plan, a, b, opts, std::move(phases));
   }
 
   /// Execute a permutation *program* — a validated op chain over
@@ -164,7 +181,7 @@ class RobustPermuteService {
     // --- Compile: resolve + fuse, under the program_compile phase. ---
     util::Stopwatch compile_clock;
     const Fingerprint fp = program_fingerprint(program.ops, n);
-    std::shared_ptr<const perm::Permutation> composite;
+    PlanHandle composite;
     ResolvedProgram resolved;
     if (!opts.force_staged) composite = cached_composite(fp.value);
     if (!composite) {
@@ -182,7 +199,9 @@ class RobustPermuteService {
           metrics_.record_phases(*phases);
           return fused.status();
         }
-        composite = std::make_shared<const perm::Permutation>(std::move(fused).value());
+        // Hashed once here; memo hits reuse the handle's fingerprint.
+        composite =
+            PlanHandle(std::make_shared<const perm::Permutation>(std::move(fused).value()));
         cache_composite(fp.value, composite);
       }
     }
@@ -194,7 +213,8 @@ class RobustPermuteService {
       stages.reserve(resolved.stages.size());
       bool degraded = false;
       for (const auto& stage_perm : resolved.stages) {
-        StatusOr<LadderChoice<T>> choice = climb_ladder<T>(*stage_perm, opts, *phases);
+        StatusOr<LadderChoice<T>> choice =
+            climb_ladder<T>(PlanHandle(stage_perm), opts, *phases);
         if (!choice.ok()) {
           metrics_.record_phases(*phases);
           return choice.status();
@@ -212,7 +232,7 @@ class RobustPermuteService {
     }
 
     // --- Identity fast-path: the chain folded to P(i) = i. ---
-    if (composite->is_identity()) {
+    if (composite.permutation().is_identity()) {
       std::memcpy(b.data(), a.data(), n * sizeof(T));
       metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kIdentity);
       metrics_.record_phases(*phases);
@@ -223,7 +243,7 @@ class RobustPermuteService {
 
     // --- Fused: the composite rides the normal degradation ladder. ---
     StatusOr<std::future<Status>> submitted =
-        submit_permutation<T>(*composite, a, b, opts, std::move(phases));
+        submit_permutation<T>(composite, a, b, opts, std::move(phases));
     if (submitted.ok()) {
       metrics_.record_program(chain_depth, ServiceMetrics::ProgramPath::kFused);
     }
@@ -279,14 +299,14 @@ class RobustPermuteService {
     return submit_opts;
   }
 
-  /// Serve `p` as one executor request through the ladder. `phases`
+  /// Serve `plan` as one executor request through the ladder. `phases`
   /// already holds whatever the caller attributed (program compile).
   template <class T>
-  StatusOr<std::future<Status>> submit_permutation(const perm::Permutation& p,
+  StatusOr<std::future<Status>> submit_permutation(const PlanHandle& plan,
                                                    std::span<const T> a, std::span<T> b,
                                                    const RequestOptions& opts,
                                                    std::shared_ptr<PhaseBreakdown> phases) {
-    StatusOr<LadderChoice<T>> choice = climb_ladder<T>(p, opts, *phases);
+    StatusOr<LadderChoice<T>> choice = climb_ladder<T>(plan, opts, *phases);
     if (!choice.ok()) {
       metrics_.record_phases(*phases);
       return choice.status();
@@ -311,13 +331,13 @@ class RobustPermuteService {
   /// failure, the conventional permuter. Plan lookup/build time lands
   /// in `phases`.
   template <class T>
-  StatusOr<LadderChoice<T>> climb_ladder(const perm::Permutation& p, const RequestOptions& opts,
+  StatusOr<LadderChoice<T>> climb_ladder(const PlanHandle& plan, const RequestOptions& opts,
                                          PhaseBreakdown& phases) {
     // Deadline pressure: an offline build would likely eat the whole
     // budget; go straight to the conventional tier.
-    if (!should_skip_build_for_deadline<T>(p, opts)) {
+    if (!should_skip_build_for_deadline<T>(plan, opts)) {
       StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquired =
-          acquire_with_retry<T>(p, opts, &phases);
+          acquire_with_retry<T>(plan, opts, &phases);
       if (acquired.ok()) return LadderChoice<T>{std::move(acquired).value(), false};
       if (!config_.allow_degraded || !is_transient(acquired.status().code())) {
         return acquired.status();
@@ -328,7 +348,7 @@ class RobustPermuteService {
     // rounds, and the breakdown should show that trade.
     util::Stopwatch build_clock;
     StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> fallback =
-        build_conventional<T>(p);
+        build_conventional<T>(plan.permutation());
     phases.add(Phase::kPlanBuild, static_cast<std::uint64_t>(build_clock.nanos()));
     if (!fallback.ok()) return fallback.status();
     return LadderChoice<T>{std::move(fallback).value(), true};
@@ -339,9 +359,11 @@ class RobustPermuteService {
   /// phase entirely. Conservative on a cold service (no builds observed
   /// -> no estimate -> try the build).
   template <class T>
-  bool should_skip_build_for_deadline(const perm::Permutation& p, const RequestOptions& opts) {
+  bool should_skip_build_for_deadline(const PlanHandle& plan, const RequestOptions& opts) {
     if (!config_.allow_degraded || opts.deadline == Executor::kNoDeadline) return false;
-    if (cache_.contains(PlanCache::plan_key<T>(p, config_.machine, opts.strategy))) return false;
+    if (cache_.contains(PlanCache::plan_key<T>(plan, config_.machine, opts.strategy))) {
+      return false;
+    }
     const std::uint64_t worst_build_ns = metrics_.plan_build_ns_max();
     if (worst_build_ns == 0) return false;
     const auto remaining = opts.deadline - std::chrono::steady_clock::now();
@@ -350,10 +372,10 @@ class RobustPermuteService {
 
   template <class T>
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> acquire_with_retry(
-      const perm::Permutation& p, const RequestOptions& opts, PhaseBreakdown* phases) {
+      const PlanHandle& plan, const RequestOptions& opts, PhaseBreakdown* phases) {
     for (int attempt = 0;; ++attempt) {
       StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> result =
-          cache_.try_acquire<T>(p, config_.machine, opts.strategy, phases);
+          cache_.try_acquire<T>(plan, config_.machine, opts.strategy, phases);
       if (result.ok() || attempt >= config_.max_build_retries ||
           !is_transient(result.status().code())) {
         return result;
@@ -400,16 +422,17 @@ class RobustPermuteService {
   }
 
   /// Composite-permutation memo lookup (program fingerprint keyed);
-  /// a hit refreshes LRU order. nullptr on miss or when disabled.
-  [[nodiscard]] std::shared_ptr<const perm::Permutation> cached_composite(std::uint64_t key) {
+  /// a hit refreshes LRU order. An empty handle on miss or when
+  /// disabled.
+  [[nodiscard]] PlanHandle cached_composite(std::uint64_t key) {
     std::lock_guard lock(composites_mutex_);
     const auto it = composites_.find(key);
-    if (it == composites_.end()) return nullptr;
+    if (it == composites_.end()) return {};
     composites_lru_.splice(composites_lru_.begin(), composites_lru_, it->second.second);
     return it->second.first;
   }
 
-  void cache_composite(std::uint64_t key, std::shared_ptr<const perm::Permutation> composite) {
+  void cache_composite(std::uint64_t key, PlanHandle composite) {
     if (config_.max_cached_composites == 0) return;
     std::lock_guard lock(composites_mutex_);
     if (composites_.count(key) != 0) return;  // racing first submissions: keep the incumbent
@@ -430,9 +453,7 @@ class RobustPermuteService {
   // Composite-permutation memo (see Config::max_cached_composites).
   std::mutex composites_mutex_;
   std::list<std::uint64_t> composites_lru_;
-  std::unordered_map<std::uint64_t,
-                     std::pair<std::shared_ptr<const perm::Permutation>,
-                               std::list<std::uint64_t>::iterator>>
+  std::unordered_map<std::uint64_t, std::pair<PlanHandle, std::list<std::uint64_t>::iterator>>
       composites_;
 };
 

@@ -116,12 +116,15 @@ bool ThreadPool::run_one_task() {
 
 void ThreadPool::parallel_for_chunks(std::uint64_t begin, std::uint64_t end,
                                      const std::function<void(std::uint64_t, std::uint64_t)>& fn,
-                                     unsigned chunks_per_thread) {
+                                     unsigned chunks_per_thread, std::uint64_t min_chunk) {
   if (begin >= end) return;
   const std::uint64_t total = end - begin;
   const std::uint64_t max_chunks =
       static_cast<std::uint64_t>(size()) * std::max(1u, chunks_per_thread);
-  const std::uint64_t chunks = std::min<std::uint64_t>(total, std::max<std::uint64_t>(1, max_chunks));
+  // The grain caps the count too: at most total / min_chunk chunks.
+  const std::uint64_t grain = std::max<std::uint64_t>(1, min_chunk);
+  const std::uint64_t chunks = std::min({total, std::max<std::uint64_t>(1, max_chunks),
+                                         std::max<std::uint64_t>(1, total / grain)});
 
   if (chunks == 1 || size() <= 1) {
     fn(begin, end);  // exceptions propagate directly

@@ -85,10 +85,14 @@ class ThreadPool {
                     unsigned chunks_per_thread = 4);
 
   /// Run fn(chunk_begin, chunk_end) over a blocked partition of the range.
-  /// Same exception semantics as `parallel_for`.
+  /// Same exception semantics as `parallel_for`. `min_chunk` is the
+  /// grain: the range splits into at most `(end - begin) / min_chunk`
+  /// chunks, and a range that yields a single chunk runs inline on the
+  /// caller (no fork/join), exactly like the 1-worker case. The default
+  /// of 1 keeps ~`chunks_per_thread` chunks per worker.
   void parallel_for_chunks(std::uint64_t begin, std::uint64_t end,
                            const std::function<void(std::uint64_t, std::uint64_t)>& fn,
-                           unsigned chunks_per_thread = 4);
+                           unsigned chunks_per_thread = 4, std::uint64_t min_chunk = 1);
 
   /// Enqueue a callable and return a future for its result. Exceptions
   /// thrown by the callable are delivered through the future. The task

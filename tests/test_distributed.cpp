@@ -21,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,7 @@
 #include "perm/generators.hpp"
 #include "perm/permutation.hpp"
 #include "runtime/distributed.hpp"
+#include "runtime/fault_injector.hpp"
 #include "runtime/plan_cache.hpp"
 #include "runtime/service.hpp"
 #include "runtime/status.hpp"
@@ -639,6 +641,47 @@ TEST(DistributedWire, DeadShardFailsTypedAndLeaksNothing) {
     EXPECT_GE(shards[i]->server->counters().shard_aborts, 1u);
     EXPECT_EQ(shards[i]->server->counters().shard_execs, 0u);
   }
+  for (auto& s : shards) s->stop();
+}
+
+TEST(DistributedWire, PlanBuildFaultFailsTypedAndCountsAborts) {
+  // SHARD_EXEC compiles the full plan on first use. A failed build must
+  // answer its typed code through the session abort path (not the
+  // handler's last-resort kUnavailable) and count as a shard abort.
+  const std::uint64_t n = 1 << 12;
+  const perm::Permutation p = perm::by_name("random", n, 31);
+  std::vector<std::uint32_t> in(n);
+  for (std::uint64_t i = 0; i < n; ++i) in[i] = static_cast<std::uint32_t>(i);
+
+  std::vector<std::unique_ptr<Shard>> shards;
+  std::vector<Shard*> ptrs;
+  for (int i = 0; i < 2; ++i) {
+    shards.push_back(std::make_unique<Shard>());
+    shards.back()->start(/*exchange_timeout=*/500ms);
+    ptrs.push_back(shards.back().get());
+  }
+
+  runtime::FaultInjector::Config faults;
+  faults.seed = 1;
+  faults.rate = 1.0;
+  faults.sites = std::string(runtime::fault_sites::kPlanBuild);
+  {
+    runtime::ScopedFaultInjection chaos(faults);
+    auto out = run_distributed(ptrs, p, {in.data(), n});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kPlanBuildFailed) << out.status().to_string();
+  }
+  for (auto& s : shards) {
+    EXPECT_EQ(s->server->counters().shard_aborts, 1u);
+    EXPECT_EQ(s->server->counters().shard_execs, 0u);
+  }
+
+  // Disarmed, the same shards build and serve.
+  std::vector<std::uint32_t> expect(n);
+  p.apply<std::uint32_t>({in.data(), n}, {expect.data(), n});
+  auto out = run_distributed(ptrs, p, {in.data(), n});
+  ASSERT_TRUE(out.ok()) << out.status().to_string();
+  EXPECT_EQ(out.value(), expect);
   for (auto& s : shards) s->stop();
 }
 

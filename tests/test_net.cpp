@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "cpu/dispatch.hpp"
 #include "net/client.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
@@ -373,6 +374,29 @@ TEST(NetLoopback, PingEchoes) {
   const Status s = client.ping();
   EXPECT_TRUE(s.is_ok()) << s.to_string();
   EXPECT_GE(loop.server.counters().requests_served(), 1u);
+}
+
+TEST(PlanHandle, RegistryPlanIdIsTheHandleFingerprint) {
+  Loopback loop;
+  net::Client client(loop.client_config());
+  const perm::Permutation p = perm::by_name("random", 4096, 5);
+  auto id = client.submit_plan(p);
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  const runtime::PlanHandle handle(std::make_shared<const perm::Permutation>(p));
+  EXPECT_EQ(id.value(), handle.fingerprint().value);
+  EXPECT_EQ(id.value(), runtime::fingerprint_mapping(p.data()).value);
+
+  // PERMUTEs served from the registered handle hit one cache entry.
+  std::vector<std::uint32_t> a(p.size()), b(p.size()), want(p.size());
+  for (std::size_t i = 0; i < a.size(); ++i) a[i] = static_cast<std::uint32_t>(i * 3 + 1);
+  p.apply<std::uint32_t>(a, want);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.permute(id.value(), a, b).is_ok());
+    EXPECT_EQ(b, want);
+  }
+  EXPECT_TRUE(
+      loop.service.cache().contains(runtime::PlanCache::plan_key<std::uint32_t>(handle)));
+  EXPECT_EQ(loop.service.metrics().snapshot().plan_builds, 1u);
 }
 
 // Regression (PR 4): `requests_served` used to count ERROR responses
@@ -830,6 +854,110 @@ TEST(WireZeroCopy, ChecksumExtendMatchesChecksumOverConcatenation) {
   state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).subspan(100, 0));
   state = net::checksum_extend(state, std::span<const std::uint8_t>(bytes).subspan(100));
   EXPECT_EQ(state, whole);
+}
+
+// ------------------------------------------------------------- CRC-32C
+
+std::span<const std::uint8_t> text_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+std::vector<std::uint8_t> crc_test_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  std::uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (auto& b : bytes) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    b = static_cast<std::uint8_t>(x);
+  }
+  return bytes;
+}
+
+TEST(Crc32c, KnownAnswers) {
+  // The CRC-32C check value (RFC 3720 appendix B.4 parameters).
+  EXPECT_EQ(net::checksum_bytes({}), 0u);
+  EXPECT_EQ(net::checksum_bytes(text_bytes("123456789")), 0xE3069283u);
+  EXPECT_EQ(net::crc32c_portable(0, text_bytes("123456789")), 0xE3069283u);
+  // 32 zero bytes and 32 0xFF bytes (RFC 3720 B.4 test vectors).
+  const std::vector<std::uint8_t> zeros(32, 0x00), ones(32, 0xff);
+  EXPECT_EQ(net::checksum_bytes(zeros), 0x8A9136AAu);
+  EXPECT_EQ(net::checksum_bytes(ones), 0x62A8AB43u);
+  if (net::crc32c_hardware_available()) {
+    EXPECT_EQ(net::crc32c_hardware(0, text_bytes("123456789")), 0xE3069283u);
+  }
+}
+
+TEST(Crc32c, HardwareAndPortableAgreeAtEveryLengthAndAlignment) {
+  if (!net::crc32c_hardware_available()) GTEST_SKIP() << "no SSE4.2 crc32 on this CPU/build";
+  const std::vector<std::uint8_t> bytes = crc_test_bytes(4096 + 8);
+  const std::span<const std::uint8_t> all(bytes);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const auto part = all.subspan(offset, len);
+      ASSERT_EQ(net::crc32c_hardware(0, part), net::crc32c_portable(0, part))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, StreamingAgreesAtEverySplitPoint) {
+  const std::vector<std::uint8_t> bytes = crc_test_bytes(4096 + 3);
+  const auto all = std::span<const std::uint8_t>(bytes).subspan(3);  // unaligned start
+  const std::uint32_t whole = net::crc32c_portable(0, all);
+  for (std::size_t split = 0; split <= all.size(); ++split) {
+    const auto head = all.first(split);
+    const auto tail = all.subspan(split);
+    ASSERT_EQ(net::crc32c_portable(net::crc32c_portable(0, head), tail), whole) << split;
+    const std::uint64_t streamed = net::checksum_extend(net::checksum_seed(), head);
+    ASSERT_EQ(net::checksum_extend(streamed, tail), whole) << split;
+    if (net::crc32c_hardware_available()) {
+      ASSERT_EQ(net::crc32c_hardware(net::crc32c_hardware(0, head), tail), whole) << split;
+    }
+  }
+}
+
+TEST(Crc32c, EveryKernelVariantComputesTheSameFrameChecksum) {
+  // The scalar kernel variant also selects the portable CRC; the frame
+  // checksum must not depend on which engine ran.
+  const std::vector<std::uint8_t> bytes = crc_test_bytes(32 << 10);
+  const std::uint32_t want = net::crc32c_portable(0, bytes);
+  const cpu::KernelVariant prev = cpu::kernel_variant();
+  for (const cpu::KernelVariant v :
+       {cpu::KernelVariant::kScalar, cpu::KernelVariant::kAvx2, cpu::KernelVariant::kAvx512}) {
+    cpu::set_kernel_variant(v);
+    EXPECT_EQ(net::checksum_bytes(bytes), want) << cpu::to_string(cpu::kernel_variant());
+  }
+  cpu::set_kernel_variant(prev);
+}
+
+TEST(Wire, HeaderCarriesTheCrcZeroExtended) {
+  const net::Frame in = sample_frame();
+  const auto bytes = net::encode_frame(in);
+  std::uint64_t field = 0;
+  for (int i = 0; i < 8; ++i) field |= static_cast<std::uint64_t>(bytes[20 + i]) << (8 * i);
+  EXPECT_EQ(field, net::crc32c_portable(0, in.payload));
+  EXPECT_EQ(field >> 32, 0u);
+}
+
+TEST(Wire, VersionOneFrameIsRefusedAsBadVersion) {
+  // A v1 peer checksums with FNV-1a64; it must be told "wrong version",
+  // not "corrupt payload".
+  auto bytes = net::encode_frame(sample_frame());
+  ASSERT_EQ(bytes[4], net::kWireVersion);
+  bytes[4] = 1;
+  bytes[5] = 0;
+  net::Frame out;
+  std::size_t consumed = 0;
+  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadVersion);
+}
+
+TEST(Wire, NonzeroHighChecksumBitsAreBadChecksum) {
+  auto bytes = net::encode_frame(sample_frame());
+  bytes[27] = 0x01;  // bit 56 of the u64 checksum field
+  net::Frame out;
+  std::size_t consumed = 0;
+  EXPECT_EQ(net::decode_frame(bytes, out, consumed), net::FrameError::kBadChecksum);
 }
 
 TEST(WireZeroCopy, WriteFramePartsRoundTripsThroughReadFrame) {

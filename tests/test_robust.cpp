@@ -10,8 +10,10 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -474,6 +476,31 @@ TEST(RobustService, HappyPathServesAndCaches) {
   EXPECT_EQ(snap.plan_builds, 1u);  // second round is a cache hit
   EXPECT_EQ(snap.hits, 1u);
   EXPECT_EQ(snap.degraded_executions, 0u);
+}
+
+TEST(PlanHandle, ServiceServesHandleAndRawFromOneEntry) {
+  ServiceFixture fx;
+  const std::uint64_t n = 1024;
+  const perm::Permutation p = perm::bit_reversal(n);
+  const runtime::PlanHandle plan(std::make_shared<const perm::Permutation>(p));
+  const auto a = test::iota_data<float>(n);
+  util::aligned_vector<float> by_raw(n), by_handle(n);
+
+  auto raw = fx.service.submit<float>(p, std::span<const float>(a.data(), n),
+                                      std::span<float>(by_raw.data(), n));
+  ASSERT_TRUE(raw.ok());
+  EXPECT_TRUE(std::move(raw).value().get().is_ok());
+  auto handled = fx.service.submit<float>(plan, std::span<const float>(a.data(), n),
+                                          std::span<float>(by_handle.data(), n));
+  ASSERT_TRUE(handled.ok());
+  EXPECT_TRUE(std::move(handled).value().get().is_ok());
+
+  EXPECT_EQ(std::memcmp(by_raw.data(), by_handle.data(), n * sizeof(float)), 0);
+  for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(by_handle[p(i)], a[i]);
+  const runtime::MetricsSnapshot snap = fx.service.metrics().snapshot();
+  EXPECT_EQ(snap.plan_builds, 1u);
+  EXPECT_EQ(snap.hits, 1u);
+  EXPECT_EQ(fx.service.cache().entries(), 1u);
 }
 
 TEST(RobustService, TransientBuildFailureIsRetriedThenServedOptimally) {

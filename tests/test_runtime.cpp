@@ -256,6 +256,75 @@ TEST(PlanCache, SameWidthElementTypesDoNotAlias) {
   EXPECT_NE(runtime::PlanCache::plan_key<float>(p), runtime::PlanCache::plan_key<std::int32_t>(p));
 }
 
+// ---------------------------------------------------------------- plan handle
+
+TEST(PlanHandle, FingerprintIsTheMappingFingerprint) {
+  const perm::Permutation p = perm::by_name("random", 4096, 3);
+  const runtime::PlanHandle owned(std::make_shared<const perm::Permutation>(p));
+  ASSERT_TRUE(owned);
+  EXPECT_EQ(owned.fingerprint(), runtime::fingerprint_permutation(p));
+  EXPECT_EQ(runtime::PlanHandle::borrow(p).fingerprint(), runtime::fingerprint_permutation(p));
+  EXPECT_EQ(&runtime::PlanHandle::borrow(p).permutation(), &p);
+  EXPECT_FALSE(runtime::PlanHandle{});
+}
+
+TEST(PlanHandle, HandleKeyEqualsRawKey) {
+  const MachineParams mp = MachineParams::gtx680();
+  const perm::Permutation p = perm::by_name("random", 4096, 4);
+  const runtime::PlanHandle h(std::make_shared<const perm::Permutation>(p));
+  for (const core::Strategy s : {core::Strategy::kAuto, core::Strategy::kScheduled}) {
+    EXPECT_EQ(runtime::PlanCache::plan_key<float>(h, mp, s),
+              runtime::PlanCache::plan_key<float>(p, mp, s));
+    EXPECT_EQ(runtime::PlanCache::plan_key<std::uint64_t>(h, mp, s),
+              runtime::PlanCache::plan_key<std::uint64_t>(p, mp, s));
+  }
+  EXPECT_EQ(runtime::fingerprint_plan_key(h.fingerprint(), mp, kAutoTag, 4),
+            runtime::fingerprint_plan_key(p, mp, kAutoTag, 4));
+  // The cache key lives under its own schema tag: never a plan id.
+  EXPECT_NE(runtime::fingerprint_plan_key(p, mp, kAutoTag, 4), h.fingerprint());
+}
+
+TEST(PlanHandle, RawAndHandleAcquireShareOneEntryAndOneBuild) {
+  runtime::ServiceMetrics metrics;
+  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
+  const perm::Permutation p = perm::by_name("random", 4096, 6);
+  const runtime::PlanHandle h(std::make_shared<const perm::Permutation>(p));
+
+  const auto raw = cache.acquire<float>(p);
+  const auto via_handle = cache.acquire<float>(h);
+  auto tried = cache.try_acquire<float>(h);
+  ASSERT_TRUE(tried.ok());
+  EXPECT_EQ(raw.get(), via_handle.get());
+  EXPECT_EQ(raw.get(), tried.value().get());
+  EXPECT_EQ(cache.entries(), 1u);
+  EXPECT_EQ(metrics.snapshot().plan_builds, 1u);
+  EXPECT_TRUE(cache.contains(runtime::PlanCache::plan_key<float>(h)));
+
+  // A handle lookup charges plan_lookup; only the raw overload hashes.
+  runtime::PhaseBreakdown phases;
+  (void)cache.acquire<float>(h, MachineParams::gtx680(), core::Strategy::kAuto, &phases);
+  EXPECT_TRUE(phases.touched(runtime::Phase::kPlanLookup));
+  EXPECT_FALSE(phases.touched(runtime::Phase::kPlanBuild));
+}
+
+TEST(PlanHandle, HandleTryAcquireMapsBuildFaultsToStatus) {
+  runtime::PlanCache cache;
+  const perm::Permutation p = perm::by_name("random", 1024, 8);
+  const runtime::PlanHandle h(std::make_shared<const perm::Permutation>(p));
+  runtime::FaultInjector::Config faults;
+  faults.seed = 1;
+  faults.rate = 1.0;
+  faults.sites = std::string(runtime::fault_sites::kPlanBuild);
+  {
+    runtime::ScopedFaultInjection chaos(faults);
+    auto failed = cache.try_acquire<std::uint32_t>(h);
+    ASSERT_FALSE(failed.ok());
+    EXPECT_EQ(failed.status().code(), runtime::StatusCode::kPlanBuildFailed);
+  }
+  EXPECT_EQ(cache.entries(), 0u);
+  EXPECT_TRUE(cache.try_acquire<std::uint32_t>(h).ok());
+}
+
 TEST(PlanCache, EvictsLeastRecentlyUsedUnderByteCap) {
   const MachineParams mp = MachineParams::gtx680();
   const perm::Permutation pa = perm::bit_reversal(4096);

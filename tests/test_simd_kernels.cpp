@@ -10,9 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "core/layout.hpp"
 #include "cpu/dispatch.hpp"
 #include "cpu/kernels.hpp"
 #include "perm/generators.hpp"
@@ -290,6 +293,129 @@ INSTANTIATE_TEST_SUITE_P(SimdKernels, SimdVariantTest,
                          [](const ::testing::TestParamInfo<KernelVariant>& info) {
                            return std::string(to_string(info.param));
                          });
+
+// ---- the fork/join grain ---------------------------------------------
+//
+// Every kernel runs inline below `kMinChunkBytes` of traffic per chunk
+// and forks above it. This battery checks each kernel against a plain
+// serial reference for n = 2^10 .. 2^22, which straddles the grain, on
+// a 4-worker pool and for every variant (scalar included).
+
+class GrainBatteryTest : public SimdVariantTest {};
+
+/// Row schedules for a rows x cols matrix: random per-row permutations.
+struct RowSchedules {
+  std::vector<std::uint16_t> phat, q;
+};
+
+RowSchedules random_schedules(std::uint64_t rows, std::uint64_t cols, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  RowSchedules s{std::vector<std::uint16_t>(rows * cols),
+                 std::vector<std::uint16_t>(rows * cols)};
+  for (std::uint64_t r = 0; r < rows; ++r) {
+    const auto ph = random_perm16(cols, rng);
+    const auto qq = random_perm16(cols, rng);
+    std::copy(ph.begin(), ph.end(), s.phat.begin() + static_cast<std::ptrdiff_t>(r * cols));
+    std::copy(qq.begin(), qq.end(), s.q.begin() + static_cast<std::ptrdiff_t>(r * cols));
+  }
+  return s;
+}
+
+TEST_P(GrainBatteryTest, EveryKernelMatchesTheSerialReferenceAcrossTheGrain) {
+  util::ThreadPool pool(4);
+  for (int lg = 10; lg <= 22; lg += 2) {
+    SCOPED_TRACE("n = 2^" + std::to_string(lg));
+    const std::uint64_t n = std::uint64_t{1} << lg;
+    const std::uint64_t cols = 1024;
+    const std::uint64_t rows = n / cols;
+    const auto in = random_bits<std::uint32_t>(n, n + 1);
+    util::aligned_vector<std::uint32_t> want(n), got(n);
+
+    const RowSchedules s = random_schedules(rows, cols, n);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      for (std::uint64_t k = 0; k < cols; ++k) {
+        want[r * cols + s.q[r * cols + k]] = in[r * cols + s.phat[r * cols + k]];
+      }
+    }
+    row_wise_pass<std::uint32_t>(pool, in, got, rows, cols, s.phat, s.q);
+    expect_bit_identical(got, want, "row_wise_pass");
+
+    // Direct-g pass with g = q o phat^-1 reproduces the same output.
+    std::vector<std::uint16_t> g(n);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      g[(i / cols) * cols + s.phat[i]] = s.q[i];
+    }
+    std::fill(got.begin(), got.end(), 0u);
+    row_wise_pass_direct<std::uint32_t>(pool, in, got, rows, cols, g);
+    expect_bit_identical(got, want, "row_wise_pass_direct");
+
+    const util::aligned_vector<std::uint32_t> in2 = random_bits<std::uint32_t>(n, n + 2);
+    util::aligned_vector<std::uint32_t> want2(n), got2(n);
+    for (std::uint64_t r = 0; r < rows; ++r) {
+      for (std::uint64_t k = 0; k < cols; ++k) {
+        want2[r * cols + s.q[r * cols + k]] = in2[r * cols + s.phat[r * cols + k]];
+      }
+    }
+    std::fill(got.begin(), got.end(), 0u);
+    const std::uint32_t* srcs[] = {in.data(), in2.data()};
+    std::uint32_t* dsts[] = {got.data(), got2.data()};
+    row_wise_pass_batched<std::uint32_t>(pool, srcs, dsts, rows, cols, s.phat, s.q);
+    expect_bit_identical(got, want, "row_wise_pass_batched lane 0");
+    expect_bit_identical(got2, want2, "row_wise_pass_batched lane 1");
+
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      for (std::uint64_t j = 0; j < cols; ++j) want[j * rows + i] = in[i * cols + j];
+    }
+    for (std::uint64_t i = 0; i < rows; ++i) {
+      for (std::uint64_t j = 0; j < cols; ++j) want2[j * rows + i] = in2[i * cols + j];
+    }
+    transpose_blocked<std::uint32_t>(pool, in, got, rows, cols, 32);
+    expect_bit_identical(got, want, "transpose_blocked");
+    std::fill(got.begin(), got.end(), 0u);
+    std::fill(got2.begin(), got2.end(), 0u);
+    transpose_blocked_batched<std::uint32_t>(pool, srcs, dsts, rows, cols, 16);
+    expect_bit_identical(got, want, "transpose_blocked_batched lane 0");
+    expect_bit_identical(got2, want2, "transpose_blocked_batched lane 1");
+
+    const perm::Permutation p = perm::by_name("random", n, static_cast<std::uint64_t>(lg));
+    const auto map = p.data();
+    for (std::uint64_t i = 0; i < n; ++i) want[map[i]] = in[i];
+    scatter<std::uint32_t>(pool, in, got, map);
+    expect_bit_identical(got, want, "scatter");
+    for (std::uint64_t i = 0; i < n; ++i) want[i] = in[map[i]];
+    gather<std::uint32_t>(pool, in, got, map);
+    expect_bit_identical(got, want, "gather");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(KernelGrain, GrainBatteryTest,
+                         ::testing::Values(KernelVariant::kScalar, KernelVariant::kAvx2,
+                                           KernelVariant::kAvx512),
+                         [](const ::testing::TestParamInfo<KernelVariant>& param) {
+                           return std::string(to_string(param.param));
+                         });
+
+TEST(KernelGrain, FullPartitionAtFourMillionElements) {
+  // At n = 2^22 every kernel's grain leaves the 4-worker pool's
+  // partition of 16 chunks untouched (the count parallel_for_chunks
+  // plans is min(16, units / grain), at least 1).
+  constexpr std::uint64_t kChunks = 16;
+  constexpr std::uint64_t n = std::uint64_t{1} << 22, tile = 32;
+  const core::MatrixShape shape = core::shape_for(n, 32);
+  const std::uint64_t rows = shape.rows, cols = shape.cols;
+  const auto chunks = [](std::uint64_t units, std::uint64_t unit_bytes) {
+    return std::max<std::uint64_t>(1, units / detail::grain_units(unit_bytes));
+  };
+  for (const std::uint64_t elem : {4ull, 8ull}) {
+    EXPECT_GE(chunks(rows, cols * (2 * elem + 4)), kChunks) << "row pass";
+    EXPECT_GE(chunks(rows, cols * (2 * elem + 2)), kChunks) << "direct row pass";
+    EXPECT_GE(chunks((rows / tile) * (cols / tile), tile * tile * 2 * elem), kChunks)
+        << "transpose";
+    EXPECT_GE(chunks(n, 2 * elem + 4), kChunks) << "gather / scatter";
+  }
+  // A whole 8K-element request is under the grain: it runs inline.
+  EXPECT_EQ(chunks(8, 1024 * (2 * 4 + 4)), 1u);
+}
 
 // ---- dispatcher behavior ---------------------------------------------
 

@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/aligned_vector.hpp"
@@ -184,6 +185,62 @@ TEST(ThreadPool, ParallelForChunksDisjointCover) {
     for (std::uint64_t i = lo; i < hi; ++i) ++hits[i];
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPoolGrain, BelowTheGrainRunsOnceOnTheCallingThread) {
+  ThreadPool pool(4);
+  // 1000 indices with a grain of 600 yields one chunk: no fork.
+  for (const std::uint64_t grain : {600ull, 1000ull, 5000ull}) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> calls;
+    std::vector<std::thread::id> threads;
+    pool.parallel_for_chunks(
+        0, 1000,
+        [&](std::uint64_t lo, std::uint64_t hi) {
+          calls.emplace_back(lo, hi);  // unsynchronized: must run on this thread
+          threads.push_back(std::this_thread::get_id());
+        },
+        4, grain);
+    ASSERT_EQ(calls.size(), 1u) << grain;
+    EXPECT_EQ(calls[0], std::make_pair(std::uint64_t{0}, std::uint64_t{1000}));
+    EXPECT_EQ(threads[0], std::this_thread::get_id());
+  }
+}
+
+TEST(ThreadPoolGrain, AboveTheGrainKeepsTheChunkCount) {
+  ThreadPool pool(4);
+  const auto count_chunks = [&](std::uint64_t total, std::uint64_t grain) {
+    std::atomic<std::uint64_t> chunks{0};
+    std::atomic<std::uint64_t> covered{0};
+    pool.parallel_for_chunks(
+        0, total,
+        [&](std::uint64_t lo, std::uint64_t hi) {
+          chunks.fetch_add(1);
+          covered.fetch_add(hi - lo);
+        },
+        4, grain);
+    EXPECT_EQ(covered.load(), total);
+    return chunks.load();
+  };
+  // 4 workers x 4 chunks each; any grain <= total / 16 leaves it alone.
+  EXPECT_EQ(count_chunks(4096, 1), 16u);
+  EXPECT_EQ(count_chunks(4096, 256), 16u);
+  // Between one chunk and the full count, the grain caps the count.
+  EXPECT_EQ(count_chunks(4096, 1024), 4u);
+  EXPECT_EQ(count_chunks(4096, 2048), 2u);
+}
+
+TEST(ThreadPoolGrain, ExceptionsPropagateInlineAndForked) {
+  ThreadPool pool(4);
+  for (const std::uint64_t grain : {1ull, 1000ull}) {
+    EXPECT_THROW(pool.parallel_for_chunks(
+                     0, 1000,
+                     [](std::uint64_t lo, std::uint64_t) {
+                       if (lo == 0) throw std::runtime_error("chunk failed");
+                     },
+                     4, grain),
+                 std::runtime_error)
+        << grain;
+  }
 }
 
 TEST(ThreadPool, EmptyRange) {

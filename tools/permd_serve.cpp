@@ -30,7 +30,7 @@
 /// the connections (nonblocking frame assembly + response flushing);
 /// idle connections cost a map entry, not a thread, so the default of
 /// 2 carries 10k+ connections. `--handler-threads N` bounds concurrent
-/// request execution (0 = auto: max(16, 2 x hardware threads)).
+/// request execution (0 = auto: 2 x hardware threads).
 ///
 /// `--batch-max N` (N > 1) turns on same-plan request batching in the
 /// executor: up to N queued PERMUTEs that share a compiled plan run as
