@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/rng.hpp"
+
 namespace hmm::net {
 
 using runtime::Status;
@@ -18,10 +20,22 @@ bool is_error(const FrameView& frame) {
   return static_cast<MsgKind>(frame.kind) == MsgKind::kError;
 }
 
-Status decode_error(const FrameView& frame) {
-  StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
-  return err.ok() ? err.value().to_status()
-                  : Status(StatusCode::kUnavailable, "malformed ERROR frame");
+/// PERMUTE_OK / PROGRAM_OK straight into the caller's span. A malformed
+/// payload is the server's protocol breach, not an invalid argument of
+/// ours, so it surfaces as kUnavailable.
+Status copy_words_response(const FrameView& frame, std::span<std::uint32_t> out,
+                           std::string_view what) {
+  const std::string malformed = "malformed " + std::string(what) + " payload: ";
+  StatusOr<WordsResponseView> response = WordsResponseView::decode(frame.payload, out.size());
+  if (!response.ok()) {
+    return Status(StatusCode::kUnavailable, malformed + response.status().message());
+  }
+  if (response.value().data.count != out.size()) {
+    return Status(StatusCode::kUnavailable,
+                  malformed + "element count does not match the request");
+  }
+  response.value().data.copy_to(out);
+  return Status::ok();
 }
 
 }  // namespace
@@ -36,11 +50,8 @@ Status Client::connect() {
 
 StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
                                            std::uint64_t request_id) {
-  const auto wire_kind = static_cast<std::uint16_t>(kind);
-  if (Status s = write_frame_parts(stream_, wire_kind, request_id, parts); !s.is_ok()) return s;
-
-  StatusOr<FrameView> response = read_frame_view(stream_, util::BufferPool::global(),
-                                                  response_storage_, config_.max_payload_bytes);
+  StatusOr<FrameView> response =
+      call(stream_, kind, request_id, parts, response_storage_, config_.max_payload_bytes);
   if (!response.ok()) {
     // The request reached the wire. A clean EOF before any response
     // byte means the server never started answering (idle close, a
@@ -57,22 +68,13 @@ StatusOr<FrameView> Client::roundtrip_once(MsgKind kind, std::span<const ConstBu
     }
     return response;
   }
-  const FrameView& frame = response.value();
-  const auto resp_kind = static_cast<MsgKind>(frame.kind);
-  if (frame.request_id != request_id) {
-    if (frame.request_id == 0 && resp_kind == MsgKind::kError) {
-      // Pre-frame admission rejection (the server answers a connection
-      // it will not serve with an ERROR frame addressed to no request,
-      // then closes). Surface the typed code — usually RETRY_LATER from
-      // the connection cap — so the retry loop backs off instead of
-      // treating this as a protocol violation.
-      return decode_error(frame);
-    }
-    return Status(StatusCode::kUnavailable, "response id does not match the request");
-  }
-  if (resp_kind != MsgKind::kError &&
-      frame.kind != (static_cast<std::uint16_t>(kind) | 0x80u)) {
-    return Status(StatusCode::kUnavailable, "response kind does not answer the request");
+  if (response.value().request_id != request_id) {
+    // Pre-frame admission rejection (the server answers a connection
+    // it will not serve with an ERROR frame addressed to no request,
+    // then closes). Surface the typed code — usually RETRY_LATER from
+    // the connection cap — so the retry loop backs off instead of
+    // treating this as a protocol violation.
+    return error_status(response.value());
   }
   return response;
 }
@@ -86,32 +88,26 @@ std::chrono::microseconds Client::retry_backoff(const Config& config, int attemp
   const auto cap_us = static_cast<std::uint64_t>(std::max<std::int64_t>(
       0, std::chrono::duration_cast<std::chrono::microseconds>(config.retry_backoff_cap)
              .count()));
-  const int shift = std::min(attempt - 1, 20);
-  const std::uint64_t delay_us = std::min(base_us << shift, cap_us);
-  // Deterministic jitter in [0, delay) — splitmix-style mix of the
-  // seed and attempt index, same recipe as the service's build-retry
-  // backoff so chaos runs replay exactly.
-  std::uint64_t x =
-      config.retry_jitter_seed ^ (0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(attempt));
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  const std::uint64_t jitter_us = delay_us == 0 ? 0 : (x ^ (x >> 31)) % delay_us;
-  return std::chrono::microseconds(delay_us + jitter_us);
+  return std::chrono::microseconds(util::jittered_backoff_us(
+      base_us, cap_us, std::min(attempt - 1, 20), config.retry_jitter_seed,
+      static_cast<std::uint64_t>(attempt)));
 }
 
-StatusOr<FrameView> Client::roundtrip_elements(MsgKind kind, ByteWriter& head,
+StatusOr<FrameView> Client::roundtrip_elements(MsgKind kind, std::vector<std::uint8_t> prefix,
                                                std::span<const std::uint32_t> data) {
   // Header fields, then the caller's elements straight from its span:
   // on a little-endian host the words are already wire bytes, so they
   // leave as a second scatter-gather part and the payload is never
   // staged in a buffer of its own.
   if constexpr (std::endian::native == std::endian::little) {
-    const ConstBuffer parts[] = {{head.bytes().data(), head.bytes().size()},
+    const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
                                  {data.data(), data.size_bytes()}};
     return roundtrip(kind, parts);
   } else {
-    head.put_u32_span(data);
-    const ConstBuffer parts[] = {{head.bytes().data(), head.bytes().size()}};
+    ByteWriter w;
+    w.put_bytes(prefix);
+    w.put_u32_span(data);
+    const ConstBuffer parts[] = {{w.bytes().data(), w.bytes().size()}};
     return roundtrip(kind, parts);
   }
 }
@@ -158,7 +154,7 @@ Status Client::ping() {
   StatusOr<FrameView> response = roundtrip(MsgKind::kPing, parts);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame);
   if (!std::equal(frame.payload.begin(), frame.payload.end(), std::begin(kProbe),
                   std::end(kProbe))) {
     return Status(StatusCode::kUnavailable, "PING echo mismatch");
@@ -167,14 +163,11 @@ Status Client::ping() {
 }
 
 StatusOr<std::uint64_t> Client::submit_plan(const perm::Permutation& p) {
-  SubmitPlanRequest req;
-  req.mapping.assign(p.data().begin(), p.data().end());
-  const std::vector<std::uint8_t> payload = req.encode();
-  const ConstBuffer parts[] = {{payload.data(), payload.size()}};
-  StatusOr<FrameView> response = roundtrip(MsgKind::kSubmitPlan, parts);
+  StatusOr<FrameView> response = roundtrip_elements(
+      MsgKind::kSubmitPlan, SubmitPlanRequest::encode_prefix(p.size()), p.data());
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame);
   ByteReader r(frame.payload);
   std::uint64_t plan_id = 0;
   if (!r.get_u64(plan_id) || !r.exhausted()) {
@@ -188,24 +181,15 @@ Status Client::permute(std::uint64_t plan_id, std::span<const std::uint32_t> dat
   if (out.size() != data.size()) {
     return Status(StatusCode::kInvalidArgument, "output span size does not match input");
   }
-  ByteWriter w;
-  w.put_u64(plan_id);
-  w.put_u32(PermuteRequest::clamp_deadline(deadline));
-  w.put_u32(kElemBytes);
-  w.put_u64(data.size());
-
-  StatusOr<FrameView> response = roundtrip_elements(MsgKind::kPermute, w, data);
+  PermuteRequest req;
+  req.plan_id = plan_id;
+  req.deadline_ms = PermuteRequest::clamp_deadline(deadline);
+  StatusOr<FrameView> response =
+      roundtrip_elements(MsgKind::kPermute, req.encode_prefix(data.size()), data);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
-  // decode_into writes the elements straight into the caller's span
-  // (no intermediate result vector + memcpy).
-  if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
-    // The server's response payload is malformed: a protocol breach,
-    // not an invalid argument of ours.
-    return Status(StatusCode::kUnavailable, "malformed PERMUTE_OK payload: " + s.message());
-  }
-  return Status::ok();
+  if (is_error(frame)) return error_status(frame);
+  return copy_words_response(frame, out, "PERMUTE_OK");
 }
 
 Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
@@ -220,35 +204,24 @@ Status Client::execute_program(std::span<const runtime::ProgramOp> ops,
   if (ops.size() > runtime::kMaxProgramOps) {
     return Status(StatusCode::kInvalidArgument, "program op count exceeds the limit");
   }
-  ByteWriter w;
-  w.put_u32(PermuteRequest::clamp_deadline(deadline));
-  w.put_u32(kElemBytes);
-  w.put_u32(staged ? kProgramFlagStaged : 0);
-  w.put_u32(static_cast<std::uint32_t>(ops.size()));
-  for (const runtime::ProgramOp& op : ops) {
-    w.put_u32(static_cast<std::uint32_t>(op.op));
-    w.put_u32(0);  // reserved
-    w.put_u64(op.arg);
-  }
-  w.put_u64(data.size());
-
-  StatusOr<FrameView> response = roundtrip_elements(MsgKind::kExecuteProgram, w, data);
+  ExecuteProgramRequest req;
+  req.deadline_ms = PermuteRequest::clamp_deadline(deadline);
+  req.flags = staged ? kProgramFlagStaged : 0;
+  req.ops.assign(ops.begin(), ops.end());
+  StatusOr<FrameView> response =
+      roundtrip_elements(MsgKind::kExecuteProgram, req.encode_prefix(data.size()), data);
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
-  // PROGRAM_OK carries the PERMUTE_OK layout; decode straight into the
-  // caller's span.
-  if (Status s = PermuteResponse::decode_into(frame.payload, out); !s.is_ok()) {
-    return Status(StatusCode::kUnavailable, "malformed PROGRAM_OK payload: " + s.message());
-  }
-  return Status::ok();
+  if (is_error(frame)) return error_status(frame);
+  // PROGRAM_OK carries the PERMUTE_OK layout.
+  return copy_words_response(frame, out, "PROGRAM_OK");
 }
 
 StatusOr<std::string> Client::stats_json() {
   StatusOr<FrameView> response = roundtrip(MsgKind::kStats, {});
   if (!response.ok()) return response.status();
   const FrameView& frame = response.value();
-  if (is_error(frame)) return decode_error(frame);
+  if (is_error(frame)) return error_status(frame);
   ByteReader r(frame.payload);
   return r.rest_as_string();
 }

@@ -120,16 +120,16 @@ class Client {
   /// response frame into the client's pooled response storage.
   /// Reconnects and resends on transport failure (up to max_retries);
   /// returns the raw response frame (kError frames included — callers
-  /// map them via ErrorResponse::to_status()). The view is valid until
-  /// the next request.
+  /// map them via error_status()). The view is valid until the next
+  /// request.
   runtime::StatusOr<FrameView> roundtrip(MsgKind kind, std::span<const ConstBuffer> parts);
 
-  /// `roundtrip` of a request whose payload is the header fields in
-  /// `head` followed by the element words of `data`.
-  runtime::StatusOr<FrameView> roundtrip_elements(MsgKind kind, ByteWriter& head,
+  /// `roundtrip` of a request whose payload is `prefix` (a message's
+  /// encode_prefix) followed by the element words of `data`.
+  runtime::StatusOr<FrameView> roundtrip_elements(MsgKind kind, std::vector<std::uint8_t> prefix,
                                                   std::span<const std::uint32_t> data);
 
-  /// One attempt on the current connection; no retry logic.
+  /// One attempt on the current connection (net::call); no retry logic.
   runtime::StatusOr<FrameView> roundtrip_once(MsgKind kind, std::span<const ConstBuffer> parts,
                                               std::uint64_t request_id);
 

@@ -53,29 +53,16 @@ void run_shard(const DistributedPermuter::Config& config, std::uint64_t session_
   const std::vector<std::uint8_t> prefix = req.encode_prefix(band_elems);
   const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
                                {band_bytes.data(), band_bytes.size()}};
-  if (Status sent = write_frame_parts(stream, static_cast<std::uint16_t>(MsgKind::kShardExec),
-                                      session_id, parts);
-      !sent.is_ok()) {
-    return transport_fail(std::move(sent));
-  }
-
-  util::BufferPool& pool = util::BufferPool::global();
-  StatusOr<FrameView> response =
-      read_frame_view(stream, pool, out.band.storage, config.max_payload_bytes);
+  StatusOr<FrameView> response = call(stream, MsgKind::kShardExec, session_id, parts,
+                                     out.band.storage, config.max_payload_bytes);
   if (!response.ok()) return transport_fail(response.status());
   const FrameView& frame = response.value();
   if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
-    StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
-    out.status = err.ok() ? err.value().to_status()
-                          : Status(StatusCode::kUnavailable,
-                                   "malformed ERROR frame from shard");
-    out.transport = !err.ok();
+    // A typed answer — unless the ERROR payload itself is malformed,
+    // which is a protocol failure of the link like any other.
+    out.status = error_status(frame);
+    out.transport = !ErrorResponse::decode(frame.payload).ok();
     return;
-  }
-  if (static_cast<MsgKind>(frame.kind) != MsgKind::kShardExecOk ||
-      frame.request_id != session_id) {
-    return transport_fail(
-        Status(StatusCode::kUnavailable, "shard response does not answer SHARD_EXEC"));
   }
   StatusOr<WordsResponseView> band =
       WordsResponseView::decode(frame.payload, config.max_payload_bytes / kElemBytes);

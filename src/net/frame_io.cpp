@@ -137,6 +137,31 @@ StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
   return view;
 }
 
+StatusOr<FrameView> call(TcpStream& stream, MsgKind kind, std::uint64_t request_id,
+                         std::span<const ConstBuffer> parts, util::PooledBuffer& storage,
+                         std::uint32_t max_payload) {
+  const auto wire_kind = static_cast<std::uint16_t>(kind);
+  if (Status s = write_frame_parts(stream, wire_kind, request_id, parts); !s.is_ok()) return s;
+  StatusOr<FrameView> response =
+      read_frame_view(stream, util::BufferPool::global(), storage, max_payload);
+  if (!response.ok()) return response;
+  const FrameView& frame = response.value();
+  const bool is_error = frame.kind == static_cast<std::uint16_t>(MsgKind::kError);
+  if (frame.request_id != request_id && !(frame.request_id == 0 && is_error)) {
+    return Status(StatusCode::kUnavailable, "response id does not match the request");
+  }
+  if (!is_error && frame.kind != (wire_kind | 0x80u)) {
+    return Status(StatusCode::kUnavailable, "response kind does not answer the request");
+  }
+  return response;
+}
+
+Status error_status(const FrameView& frame) {
+  StatusOr<ErrorResponse> err = ErrorResponse::decode(frame.payload);
+  return err.ok() ? err.value().to_status()
+                  : Status(StatusCode::kUnavailable, "malformed ERROR frame");
+}
+
 StatusOr<bool> FrameReader::poll(TcpStream& stream) {
   for (;;) {
     switch (state_) {

@@ -1,6 +1,7 @@
 #pragma once
 /// \file frame_io.hpp
-/// \brief Reading/writing HMMP frames over a TcpStream.
+/// \brief Reading/writing HMMP frames over a TcpStream, and the one
+///        blocking request/response round trip (`call`).
 ///
 /// The stream variant of wire.hpp's buffer codec: the header is read
 /// first (fixed 28 bytes), validated, and only then is the payload —
@@ -17,6 +18,7 @@
 #include <span>
 #include <vector>
 
+#include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
 #include "runtime/status.hpp"
@@ -58,6 +60,24 @@ struct FrameView {
 runtime::StatusOr<FrameView> read_frame_view(TcpStream& stream, util::BufferPool& pool,
                                              util::PooledBuffer& storage,
                                              std::uint32_t max_payload = kDefaultMaxPayload);
+
+/// One blocking request/response round trip: send `kind` with the
+/// payload `parts` (write_frame_parts), then read the answer into
+/// `storage` from the global pool (read_frame_view). The only frames
+/// accepted are those that answer the request: id `request_id` (or 0
+/// for a pre-frame ERROR — a peer refusing the *connection*) and kind
+/// `kind | 0x80` or ERROR. Anything else is kUnavailable; send and read
+/// failures keep their own taxonomy (no remapping here — reconnect and
+/// retry policy belongs to the caller). ERROR frames come back as
+/// frames: map them with error_status(). The view is valid until
+/// `storage` is reused.
+runtime::StatusOr<FrameView> call(TcpStream& stream, MsgKind kind, std::uint64_t request_id,
+                                  std::span<const ConstBuffer> parts,
+                                  util::PooledBuffer& storage, std::uint32_t max_payload);
+
+/// The Status an ERROR frame carries. A malformed ERROR payload, or one
+/// claiming OK, is itself a protocol violation: kUnavailable.
+[[nodiscard]] runtime::Status error_status(const FrameView& frame);
 
 // ---------------------------------------------------------------------------
 // Resumable frame machines for nonblocking streams (the reactor server).

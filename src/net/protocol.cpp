@@ -83,34 +83,10 @@ StatusCode from_wire(std::uint32_t code) noexcept {
 
 namespace {
 
-/// Shared tail decoder for "u64 count + count u32 words" payloads.
-/// `max_elements` bounds allocation before it happens — a hostile
-/// header cannot make the receiver reserve count*4 bytes blindly.
-StatusOr<std::vector<std::uint32_t>> decode_words(ByteReader& r, std::uint64_t count,
-                                                  std::uint64_t max_elements,
-                                                  std::string_view what) {
-  if (count == 0) {
-    return Status(StatusCode::kInvalidArgument, std::string(what) + ": empty element array");
-  }
-  if (count > max_elements) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": element count exceeds the receiver's limit");
-  }
-  if (r.remaining() != count * kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string(what) + ": payload length does not match element count");
-  }
-  std::vector<std::uint32_t> words(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    if (!r.get_u32(words[i])) {
-      return Status(StatusCode::kInvalidArgument, std::string(what) + ": truncated elements");
-    }
-  }
-  return words;
-}
-
-/// View-form of decode_words: identical validation, but the element
-/// bytes are borrowed instead of copied into a fresh vector.
+/// Shared tail decoder for "u64 count + count u32 words" payloads: the
+/// element bytes are borrowed, never copied. `max_elements` bounds the
+/// count before anything trusts it — a hostile header cannot make the
+/// receiver size a buffer from it blindly.
 StatusOr<WordsView> decode_words_view(ByteReader& r, std::uint64_t count,
                                       std::uint64_t max_elements, std::string_view what) {
   if (count == 0) {
@@ -132,6 +108,15 @@ StatusOr<WordsView> decode_words_view(ByteReader& r, std::uint64_t count,
   return view;
 }
 
+/// An encode() body: the message's prefix, then the element words.
+std::vector<std::uint8_t> append_words(std::span<const std::uint8_t> prefix,
+                                       std::span<const std::uint32_t> words) {
+  ByteWriter w;
+  w.put_bytes(prefix);
+  w.put_u32_span(words);
+  return w.take();
+}
+
 }  // namespace
 
 void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
@@ -148,25 +133,14 @@ void WordsView::copy_to(std::span<std::uint32_t> out) const noexcept {
   }
 }
 
-std::vector<std::uint8_t> SubmitPlanRequest::encode() const {
+std::vector<std::uint8_t> SubmitPlanRequest::encode_prefix(std::uint64_t count) {
   ByteWriter w;
-  w.put_u64(mapping.size());
-  w.put_u32_span(mapping);
+  w.put_u64(count);
   return w.take();
 }
 
-StatusOr<SubmitPlanRequest> SubmitPlanRequest::decode(std::span<const std::uint8_t> payload,
-                                                      std::uint64_t max_elements) {
-  ByteReader r(payload);
-  std::uint64_t n = 0;
-  if (!r.get_u64(n)) {
-    return Status(StatusCode::kInvalidArgument, "SUBMIT_PLAN: truncated header");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, n, max_elements, "SUBMIT_PLAN");
-  if (!words.ok()) return words.status();
-  SubmitPlanRequest req;
-  req.mapping = std::move(words).value();
-  return req;
+std::vector<std::uint8_t> SubmitPlanRequest::encode() const {
+  return append_words(encode_prefix(mapping.size()), mapping);
 }
 
 StatusOr<SubmitPlanRequestView> SubmitPlanRequestView::decode(
@@ -183,34 +157,17 @@ StatusOr<SubmitPlanRequestView> SubmitPlanRequestView::decode(
   return view;
 }
 
-std::vector<std::uint8_t> PermuteRequest::encode() const {
+std::vector<std::uint8_t> PermuteRequest::encode_prefix(std::uint64_t count) const {
   ByteWriter w;
   w.put_u64(plan_id);
   w.put_u32(deadline_ms);
   w.put_u32(kElemBytes);
-  w.put_u64(data.size());
-  w.put_u32_span(data);
+  w.put_u64(count);
   return w.take();
 }
 
-StatusOr<PermuteRequest> PermuteRequest::decode(std::span<const std::uint8_t> payload,
-                                                std::uint64_t max_elements) {
-  ByteReader r(payload);
-  PermuteRequest req;
-  std::uint32_t elem_bytes = 0;
-  std::uint64_t count = 0;
-  if (!r.get_u64(req.plan_id) || !r.get_u32(req.deadline_ms) || !r.get_u32(elem_bytes) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE: truncated header");
-  }
-  if (elem_bytes != kElemBytes) {
-    return Status(StatusCode::kInvalidArgument,
-                  "PERMUTE: unsupported element width (v1 speaks 4-byte elements)");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "PERMUTE");
-  if (!words.ok()) return words.status();
-  req.data = std::move(words).value();
-  return req;
+std::vector<std::uint8_t> PermuteRequest::encode() const {
+  return append_words(encode_prefix(data.size()), data);
 }
 
 StatusOr<PermuteRequestView> PermuteRequestView::decode(std::span<const std::uint8_t> payload,
@@ -240,57 +197,45 @@ std::vector<std::uint8_t> PermuteResponse::encode() const {
   return w.take();
 }
 
-StatusOr<PermuteResponse> PermuteResponse::decode(std::span<const std::uint8_t> payload,
-                                                  std::uint64_t max_elements) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE_OK: truncated header");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "PERMUTE_OK");
-  if (!words.ok()) return words.status();
-  PermuteResponse resp;
-  resp.data = std::move(words).value();
-  return resp;
+std::vector<std::uint8_t> ShardExecRequest::encode() const {
+  return append_words(encode_prefix(band.size()), band);
 }
 
-Status PermuteResponse::decode_into(std::span<const std::uint8_t> payload,
-                                    std::span<std::uint32_t> out) {
-  ByteReader r(payload);
-  std::uint64_t count = 0;
-  if (!r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "PERMUTE_OK: truncated header");
+std::vector<std::uint8_t> ShardExecRequest::encode_prefix(std::uint64_t count) const {
+  ByteWriter w;
+  w.put_u32(kShardProtocolVersion);
+  w.put_u32(kElemBytes);
+  w.put_u64(session_id);
+  w.put_u64(plan_id);
+  w.put_u32(deadline_ms);
+  w.put_u32(shard_index);
+  w.put_u32(static_cast<std::uint32_t>(peers.size()));
+  w.put_u32(0);  // reserved
+  w.put_u64(rows);
+  w.put_u64(cols);
+  for (const ShardPeer& peer : peers) {
+    w.put_u16(peer.port);
+    w.put_u16(static_cast<std::uint16_t>(peer.host.size()));
+    w.put_string(peer.host);
   }
-  if (count != out.size()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "PERMUTE_OK: element count does not match the request");
-  }
-  StatusOr<WordsView> words = decode_words_view(r, count, out.size(), "PERMUTE_OK");
-  if (!words.ok()) return words.status();
-  words.value().copy_to(out);
-  return Status::ok();
+  const std::size_t pad = (8 - w.bytes().size() % 8) % 8;
+  for (std::size_t i = 0; i < pad; ++i) w.put_u8(0);
+  w.put_u64(count);
+  return w.take();
 }
 
-namespace {
-
-/// Shared SHARD_EXEC prefix decoder: fixed header, peer table, and the
-/// zero padding that puts the band on an 8-byte payload offset. On
-/// success `count_out` holds the band element count and `r` sits at the
-/// first band byte. Strict: every malformed field is a typed
-/// kInvalidArgument.
-Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
-                                std::uint64_t& session_id, std::uint64_t& plan_id,
-                                std::uint32_t& deadline_ms, std::uint32_t& shard_index,
-                                std::uint64_t& rows, std::uint64_t& cols,
-                                std::vector<ShardPeer>& peers, std::uint64_t& count_out) {
+StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
+    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
+  ByteReader r(payload);
+  ShardExecRequestView view;
   std::uint32_t version = 0;
   std::uint32_t elem_bytes = 0;
   std::uint32_t shard_count = 0;
   std::uint32_t reserved = 0;
-  if (!r.get_u32(version) || !r.get_u32(elem_bytes) || !r.get_u64(session_id) ||
-      !r.get_u64(plan_id) || !r.get_u32(deadline_ms) || !r.get_u32(shard_index) ||
-      !r.get_u32(shard_count) || !r.get_u32(reserved) || !r.get_u64(rows) ||
-      !r.get_u64(cols)) {
+  if (!r.get_u32(version) || !r.get_u32(elem_bytes) || !r.get_u64(view.session_id) ||
+      !r.get_u64(view.plan_id) || !r.get_u32(view.deadline_ms) ||
+      !r.get_u32(view.shard_index) || !r.get_u32(shard_count) || !r.get_u32(reserved) ||
+      !r.get_u64(view.rows) || !r.get_u64(view.cols)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated header");
   }
   if (version != kShardProtocolVersion) {
@@ -307,21 +252,20 @@ Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
   if (shard_count == 0 || shard_count > kMaxWireShards) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: shard count out of range");
   }
-  if (shard_index >= shard_count) {
+  if (view.shard_index >= shard_count) {
     return Status(StatusCode::kInvalidArgument,
                   "SHARD_EXEC: shard index out of range for the shard count");
   }
-  if (rows == 0 || cols == 0 || rows > (1ull << 32) || cols > (1ull << 32)) {
+  if (view.rows == 0 || view.cols == 0 || view.rows > (1ull << 32) ||
+      view.cols > (1ull << 32)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: matrix shape out of range");
   }
-  peers.clear();
-  peers.reserve(shard_count);
+  view.peers.reserve(shard_count);
   for (std::uint32_t i = 0; i < shard_count; ++i) {
     std::uint16_t port = 0;
     std::uint16_t host_len = 0;
     std::span<const std::uint8_t> host;
-    if (!r.get_u16(port) || !r.get_u16(host_len) ||
-        !r.get_bytes(host_len, host)) {
+    if (!r.get_u16(port) || !r.get_u16(host_len) || !r.get_bytes(host_len, host)) {
       return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated peer table");
     }
     if (port == 0) {
@@ -331,13 +275,13 @@ Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
       return Status(StatusCode::kInvalidArgument,
                     "SHARD_EXEC: peer host length out of range");
     }
-    peers.push_back(ShardPeer{
+    view.peers.push_back(ShardPeer{
         std::string(reinterpret_cast<const char*>(host.data()), host.size()), port});
   }
-  const std::size_t consumed = payload_len - r.remaining();
-  const std::size_t pad = (8 - consumed % 8) % 8;
+  // Zero padding puts the band on an 8-byte payload offset.
+  const std::size_t consumed = payload.size() - r.remaining();
   std::span<const std::uint8_t> pad_bytes;
-  if (!r.get_bytes(pad, pad_bytes)) {
+  if (!r.get_bytes((8 - consumed % 8) % 8, pad_bytes)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated padding");
   }
   for (std::uint8_t b : pad_bytes) {
@@ -345,81 +289,10 @@ Status decode_shard_exec_prefix(ByteReader& r, std::size_t payload_len,
       return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: padding must be zero");
     }
   }
-  if (!r.get_u64(count_out)) {
+  std::uint64_t count = 0;
+  if (!r.get_u64(count)) {
     return Status(StatusCode::kInvalidArgument, "SHARD_EXEC: truncated element count");
   }
-  return Status::ok();
-}
-
-/// Everything of a SHARD_EXEC frame before the band bytes.
-std::vector<std::uint8_t> encode_shard_exec_prefix(
-    std::uint64_t session_id, std::uint64_t plan_id, std::uint32_t deadline_ms,
-    std::uint32_t shard_index, std::uint64_t rows, std::uint64_t cols,
-    std::span<const ShardPeer> peers, std::uint64_t count) {
-  ByteWriter w;
-  w.put_u32(kShardProtocolVersion);
-  w.put_u32(kElemBytes);
-  w.put_u64(session_id);
-  w.put_u64(plan_id);
-  w.put_u32(deadline_ms);
-  w.put_u32(shard_index);
-  w.put_u32(static_cast<std::uint32_t>(peers.size()));
-  w.put_u32(0);  // reserved
-  w.put_u64(rows);
-  w.put_u64(cols);
-  std::size_t offset = 56;
-  for (const ShardPeer& peer : peers) {
-    w.put_u16(peer.port);
-    w.put_u16(static_cast<std::uint16_t>(peer.host.size()));
-    w.put_string(peer.host);
-    offset += 4 + peer.host.size();
-  }
-  const std::size_t pad = (8 - offset % 8) % 8;
-  for (std::size_t i = 0; i < pad; ++i) w.put_u8(0);
-  w.put_u64(count);
-  return w.take();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> ShardExecRequest::encode() const {
-  std::vector<std::uint8_t> out = encode_prefix(band.size());
-  ByteWriter w;
-  w.put_u32_span(band);
-  std::vector<std::uint8_t> data = w.take();
-  out.insert(out.end(), data.begin(), data.end());
-  return out;
-}
-
-std::vector<std::uint8_t> ShardExecRequest::encode_prefix(std::uint64_t count) const {
-  return encode_shard_exec_prefix(session_id, plan_id, deadline_ms, shard_index, rows, cols,
-                                  peers, count);
-}
-
-StatusOr<ShardExecRequest> ShardExecRequest::decode(std::span<const std::uint8_t> payload,
-                                                    std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ShardExecRequest req;
-  std::uint64_t count = 0;
-  Status prefix = decode_shard_exec_prefix(r, payload.size(), req.session_id, req.plan_id,
-                                           req.deadline_ms, req.shard_index, req.rows,
-                                           req.cols, req.peers, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "SHARD_EXEC");
-  if (!words.ok()) return words.status();
-  req.band = std::move(words).value();
-  return req;
-}
-
-StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
-    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ShardExecRequestView view;
-  std::uint64_t count = 0;
-  Status prefix = decode_shard_exec_prefix(r, payload.size(), view.session_id, view.plan_id,
-                                           view.deadline_ms, view.shard_index, view.rows,
-                                           view.cols, view.peers, count);
-  if (!prefix.is_ok()) return prefix;
   StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "SHARD_EXEC");
   if (!words.ok()) return words.status();
   view.band = words.value();
@@ -427,12 +300,7 @@ StatusOr<ShardExecRequestView> ShardExecRequestView::decode(
 }
 
 std::vector<std::uint8_t> ShardXchgRequest::encode() const {
-  std::vector<std::uint8_t> out = encode_prefix(block.size());
-  ByteWriter w;
-  w.put_u32_span(block);
-  std::vector<std::uint8_t> data = w.take();
-  out.insert(out.end(), data.begin(), data.end());
-  return out;
+  return append_words(encode_prefix(block.size()), block);
 }
 
 std::vector<std::uint8_t> ShardXchgRequest::encode_prefix(std::uint64_t count) const {
@@ -442,27 +310,6 @@ std::vector<std::uint8_t> ShardXchgRequest::encode_prefix(std::uint64_t count) c
   w.put_u32(src_shard);
   w.put_u64(count);
   return w.take();
-}
-
-StatusOr<ShardXchgRequest> ShardXchgRequest::decode(std::span<const std::uint8_t> payload,
-                                                    std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ShardXchgRequest req;
-  std::uint64_t count = 0;
-  if (!r.get_u64(req.session_id) || !r.get_u32(req.round) || !r.get_u32(req.src_shard) ||
-      !r.get_u64(count)) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: truncated header");
-  }
-  if (req.round != 1 && req.round != 2) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: round must be 1 or 2");
-  }
-  if (req.src_shard >= kMaxWireShards) {
-    return Status(StatusCode::kInvalidArgument, "SHARD_XCHG: source shard out of range");
-  }
-  StatusOr<std::vector<std::uint32_t>> words = decode_words(r, count, max_elements, "SHARD_XCHG");
-  if (!words.ok()) return words.status();
-  req.block = std::move(words).value();
-  return req;
 }
 
 StatusOr<ShardXchgRequestView> ShardXchgRequestView::decode(
@@ -500,17 +347,32 @@ StatusOr<WordsResponseView> WordsResponseView::decode(std::span<const std::uint8
   return view;
 }
 
-namespace {
+std::vector<std::uint8_t> ExecuteProgramRequest::encode_prefix(std::uint64_t count) const {
+  ByteWriter w;
+  w.put_u32(deadline_ms);
+  w.put_u32(kElemBytes);
+  w.put_u32(flags);
+  w.put_u32(static_cast<std::uint32_t>(ops.size()));
+  for (const runtime::ProgramOp& op : ops) {
+    w.put_u32(static_cast<std::uint32_t>(op.op));
+    w.put_u32(0);  // reserved
+    w.put_u64(op.arg);
+  }
+  w.put_u64(count);
+  return w.take();
+}
 
-/// Shared EXECUTE_PROGRAM prefix decoder: everything before the element
-/// region. On success `count_out` holds the wire element count and `r`
-/// sits at the first element byte. Strict: any malformed field is a
-/// typed kInvalidArgument, never an exception or a partial decode.
-Status decode_program_prefix(ByteReader& r, std::uint32_t& deadline_ms, std::uint32_t& flags,
-                             std::vector<runtime::ProgramOp>& ops, std::uint64_t& count_out) {
+std::vector<std::uint8_t> ExecuteProgramRequest::encode() const {
+  return append_words(encode_prefix(data.size()), data);
+}
+
+StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(
+    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
+  ByteReader r(payload);
+  ExecuteProgramRequestView view;
   std::uint32_t elem_bytes = 0;
   std::uint32_t op_count = 0;
-  if (!r.get_u32(deadline_ms) || !r.get_u32(elem_bytes) || !r.get_u32(flags) ||
+  if (!r.get_u32(view.deadline_ms) || !r.get_u32(elem_bytes) || !r.get_u32(view.flags) ||
       !r.get_u32(op_count)) {
     return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: truncated header");
   }
@@ -518,7 +380,7 @@ Status decode_program_prefix(ByteReader& r, std::uint32_t& deadline_ms, std::uin
     return Status(StatusCode::kInvalidArgument,
                   "EXECUTE_PROGRAM: unsupported element width (v1 speaks 4-byte elements)");
   }
-  if ((flags & ~kProgramFlagsMask) != 0) {
+  if ((view.flags & ~kProgramFlagsMask) != 0) {
     return Status(StatusCode::kInvalidArgument,
                   "EXECUTE_PROGRAM: unknown flag bits (reserved bits must be zero)");
   }
@@ -529,8 +391,7 @@ Status decode_program_prefix(ByteReader& r, std::uint32_t& deadline_ms, std::uin
     return Status(StatusCode::kInvalidArgument,
                   "EXECUTE_PROGRAM: program op count exceeds the limit");
   }
-  ops.clear();
-  ops.reserve(op_count);
+  view.ops.reserve(op_count);
   for (std::uint32_t i = 0; i < op_count; ++i) {
     std::uint32_t opcode = 0;
     std::uint32_t reserved = 0;
@@ -545,53 +406,12 @@ Status decode_program_prefix(ByteReader& r, std::uint32_t& deadline_ms, std::uin
     if (!runtime::is_known_opcode(opcode)) {
       return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: unknown program opcode");
     }
-    ops.push_back(runtime::ProgramOp{static_cast<runtime::ProgramOpCode>(opcode), arg});
+    view.ops.push_back(runtime::ProgramOp{static_cast<runtime::ProgramOpCode>(opcode), arg});
   }
-  if (!r.get_u64(count_out)) {
+  std::uint64_t count = 0;
+  if (!r.get_u64(count)) {
     return Status(StatusCode::kInvalidArgument, "EXECUTE_PROGRAM: truncated element count");
   }
-  return Status::ok();
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> ExecuteProgramRequest::encode() const {
-  ByteWriter w;
-  w.put_u32(deadline_ms);
-  w.put_u32(kElemBytes);
-  w.put_u32(flags);
-  w.put_u32(static_cast<std::uint32_t>(ops.size()));
-  for (const runtime::ProgramOp& op : ops) {
-    w.put_u32(static_cast<std::uint32_t>(op.op));
-    w.put_u32(0);  // reserved
-    w.put_u64(op.arg);
-  }
-  w.put_u64(data.size());
-  w.put_u32_span(data);
-  return w.take();
-}
-
-StatusOr<ExecuteProgramRequest> ExecuteProgramRequest::decode(
-    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ExecuteProgramRequest req;
-  std::uint64_t count = 0;
-  Status prefix = decode_program_prefix(r, req.deadline_ms, req.flags, req.ops, count);
-  if (!prefix.is_ok()) return prefix;
-  StatusOr<std::vector<std::uint32_t>> words =
-      decode_words(r, count, max_elements, "EXECUTE_PROGRAM");
-  if (!words.ok()) return words.status();
-  req.data = std::move(words).value();
-  return req;
-}
-
-StatusOr<ExecuteProgramRequestView> ExecuteProgramRequestView::decode(
-    std::span<const std::uint8_t> payload, std::uint64_t max_elements) {
-  ByteReader r(payload);
-  ExecuteProgramRequestView view;
-  std::uint64_t count = 0;
-  Status prefix = decode_program_prefix(r, view.deadline_ms, view.flags, view.ops, count);
-  if (!prefix.is_ok()) return prefix;
   StatusOr<WordsView> words = decode_words_view(r, count, max_elements, "EXECUTE_PROGRAM");
   if (!words.ok()) return words.status();
   view.data = words.value();

@@ -138,18 +138,19 @@ enum class WireError : std::uint32_t {
 /// move 32-bit elements; wider payloads are a protocol rev away).
 inline constexpr std::uint32_t kElemBytes = 4;
 
-// --- Typed payloads -------------------------------------------------
-// Each request/response payload gets an encode() producing the frame
-// payload bytes and a decode() that is strict: trailing garbage, short
-// fields, and out-of-range values all fail with a reason. decode()
-// never throws on malformed input.
+// --- Owning payloads: encoders ---------------------------------------
+// The owning structs only *encode*: encode() produces the whole frame
+// payload, and encode_prefix(count) everything before the element
+// words, so a caller can send the words from its own span as a second
+// scatter-gather part. Each message has exactly one strict decoder —
+// the borrowing view further down.
 
 struct SubmitPlanRequest {
   std::vector<std::uint32_t> mapping;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<SubmitPlanRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
+  /// The u64 count header before the mapping words.
+  [[nodiscard]] static std::vector<std::uint8_t> encode_prefix(std::uint64_t count);
 };
 
 struct PermuteRequest {
@@ -169,33 +170,28 @@ struct PermuteRequest {
   }
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<PermuteRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
+  /// The 24-byte header before the data words.
+  [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
 };
 
+/// PERMUTE_OK (and PROGRAM_OK / SHARD_EXEC_OK, same layout); decoded
+/// by WordsResponseView.
 struct PermuteResponse {
   std::vector<std::uint32_t> data;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<PermuteResponse> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
-
-  /// Allocation-free decode for callers that already own the output
-  /// array: validates exactly like decode(), additionally requiring the
-  /// element count to equal `out.size()`, and writes the words straight
-  /// into `out`.
-  [[nodiscard]] static runtime::Status decode_into(std::span<const std::uint8_t> payload,
-                                                   std::span<std::uint32_t> out);
 };
 
-// --- Borrowing payload views ----------------------------------------
-// The serving hot path decodes requests from a pooled, connection-owned
-// buffer (see read_frame_view). These views validate the payload with
-// the same strictness as their owning decode() counterparts but borrow
-// the element bytes instead of copying them — on a little-endian host
-// with aligned storage the element array is usable in place, and the
-// fallback is one bounded copy. A view is valid only while the payload
-// buffer it was decoded from is.
+// --- Borrowing payload views: the decoders ---------------------------
+// Each element-carrying payload has exactly one strict decoder, its
+// view's decode(), run on the pooled, connection-owned buffer the frame
+// landed in (see read_frame_view): trailing garbage, short fields, and
+// out-of-range values all fail with a typed kInvalidArgument, and
+// nothing throws on malformed input. The views borrow the element
+// bytes instead of copying them — on a little-endian host with aligned
+// storage the element array is usable in place, and the fallback is
+// one bounded copy. A view is valid only while the payload buffer it
+// was decoded from is.
 
 /// Decoded u32 element region common to SUBMIT_PLAN and PERMUTE.
 struct WordsView {
@@ -259,9 +255,9 @@ struct ShardPeer {
   std::uint16_t port = 0;
 };
 
-/// Owning SHARD_EXEC request. The coordinator hot path encodes with
+/// Owning SHARD_EXEC request. The coordinator encodes with
 /// `encode_prefix` + a borrowed band part (scatter-gather send); the
-/// owning `encode`/`decode` pair serves tests and non-pooled callers.
+/// whole-payload `encode` serves tests.
 struct ShardExecRequest {
   std::uint64_t session_id = 0;
   std::uint64_t plan_id = 0;
@@ -276,8 +272,6 @@ struct ShardExecRequest {
   /// Everything before the band bytes (including the u64 count), padded
   /// so the band lands on an 8-byte payload offset.
   [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
-  [[nodiscard]] static runtime::StatusOr<ShardExecRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
 /// Borrowing decode of SHARD_EXEC: the peer table is small and copied,
@@ -311,8 +305,6 @@ struct ShardXchgRequest {
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
   /// The 24-byte header before the block bytes (scatter-gather send).
   [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
-  [[nodiscard]] static runtime::StatusOr<ShardXchgRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
 /// Borrowing decode of SHARD_XCHG (block offset 24 — 8-byte aligned in
@@ -346,7 +338,7 @@ struct WordsResponseView {
 inline constexpr std::uint32_t kProgramFlagStaged = 0x1;  ///< force the staged path
 inline constexpr std::uint32_t kProgramFlagsMask = kProgramFlagStaged;
 
-/// Owning EXECUTE_PROGRAM request (client-side encode + strict decode).
+/// Owning EXECUTE_PROGRAM request (client-side encode).
 struct ExecuteProgramRequest {
   std::uint32_t deadline_ms = 0;  ///< relative; 0 = no deadline
   std::uint32_t flags = 0;        ///< kProgramFlag* bits
@@ -354,8 +346,8 @@ struct ExecuteProgramRequest {
   std::vector<std::uint32_t> data;
 
   [[nodiscard]] std::vector<std::uint8_t> encode() const;
-  [[nodiscard]] static runtime::StatusOr<ExecuteProgramRequest> decode(
-      std::span<const std::uint8_t> payload, std::uint64_t max_elements);
+  /// Header and op list before the data words (24 + 16 * ops bytes).
+  [[nodiscard]] std::vector<std::uint8_t> encode_prefix(std::uint64_t count) const;
 };
 
 /// Borrowing decode of EXECUTE_PROGRAM for the serving hot path. The op
@@ -378,6 +370,8 @@ struct ExecuteProgramRequestView {
       std::span<const std::uint8_t> payload, std::uint64_t max_elements);
 };
 
+/// ERROR carries no element region to borrow, so it keeps an owning
+/// decoder (callers usually want error_status() in frame_io.hpp).
 struct ErrorResponse {
   std::uint32_t code = 0;  ///< a WireError value
   std::string message;

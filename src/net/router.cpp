@@ -12,6 +12,7 @@
 #include "runtime/fingerprint.hpp"
 #include "runtime/program.hpp"
 #include "util/bits.hpp"
+#include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
@@ -59,14 +60,6 @@ std::int64_t steady_now_ns() {
       .count();
 }
 
-/// splitmix64 finalizer: cheap, well-mixed 64->64 for ring points and
-/// backoff jitter.
-constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 std::uint64_t hash_bytes(const void* data, std::size_t len) noexcept {
   runtime::Fnv1a64 h;
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -74,18 +67,12 @@ std::uint64_t hash_bytes(const void* data, std::size_t len) noexcept {
   return h.digest();
 }
 
-Status decode_error_view(std::span<const std::uint8_t> payload) {
-  StatusOr<ErrorResponse> err = ErrorResponse::decode(payload);
-  return err.ok() ? err.value().to_status()
-                  : Status(StatusCode::kUnavailable, "malformed ERROR frame from backend");
-}
+constexpr std::uint8_t kProbePayload[] = {'h', 'm', 'm', 'p', '?'};
 
-/// Capped jittered pause before failover hop `hop` (1-based). Same
-/// recipe as Client::retry_backoff, salted by the request id so
-/// concurrent failovers don't march in lockstep, yet replay runs
-/// deterministically.
-std::chrono::microseconds failover_pause(const Router::Config& config, int hop,
-                                         std::uint64_t salt) noexcept {
+}  // namespace
+
+std::chrono::microseconds Router::failover_pause(const Config& config, int hop,
+                                                 std::uint64_t salt) noexcept {
   if (hop <= 0 || config.failover_backoff_base.count() <= 0) {
     return std::chrono::microseconds{0};
   }
@@ -96,17 +83,10 @@ std::chrono::microseconds failover_pause(const Router::Config& config, int hop,
       0,
       std::chrono::duration_cast<std::chrono::microseconds>(config.failover_backoff_cap)
           .count()));
-  const int shift = std::min(hop - 1, 20);
-  const std::uint64_t delay_us = std::min(base_us << shift, cap_us);
-  const std::uint64_t x = mix64(config.failover_jitter_seed ^
-                                (0x9e3779b97f4a7c15ull * (salt + static_cast<std::uint64_t>(hop))));
-  const std::uint64_t jitter_us = delay_us == 0 ? 0 : x % delay_us;
-  return std::chrono::microseconds(delay_us + jitter_us);
+  return std::chrono::microseconds(util::jittered_backoff_us(
+      base_us, cap_us, std::min(hop - 1, 20), config.failover_jitter_seed,
+      salt + static_cast<std::uint64_t>(hop)));
 }
-
-constexpr std::uint8_t kProbePayload[] = {'h', 'm', 'm', 'p', '?'};
-
-}  // namespace
 
 Router::Router(Config config) : config_(std::move(config)) {
   if (config_.virtual_nodes == 0) config_.virtual_nodes = 1;
@@ -131,7 +111,7 @@ void Router::build_ring() {
     const std::uint64_t base = hash_bytes(backends_[idx]->label.data(),
                                           backends_[idx]->label.size());
     for (std::uint32_t v = 0; v < config_.virtual_nodes; ++v) {
-      ring_.push_back(RingPoint{mix64(base ^ (0x9e3779b97f4a7c15ull * (v + 1))), idx});
+      ring_.push_back(RingPoint{util::mix64(base ^ (util::kGolden64 * (v + 1))), idx});
     }
   }
   std::sort(ring_.begin(), ring_.end(), [](const RingPoint& a, const RingPoint& b) {
@@ -144,7 +124,7 @@ std::vector<std::size_t> Router::preference(std::uint64_t key) const {
   if (ring_.empty()) return order;
   order.reserve(backends_.size());
   std::vector<bool> seen(backends_.size(), false);
-  const std::uint64_t point = mix64(key);
+  const std::uint64_t point = util::mix64(key);
   auto it = std::lower_bound(
       ring_.begin(), ring_.end(), point,
       [](const RingPoint& rp, std::uint64_t v) { return rp.hash < v; });
@@ -423,20 +403,22 @@ void Router::record_backend_transport_failure(Backend& b, bool half_open_trial) 
   }
 }
 
-StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
-                                         std::uint16_t kind, std::uint64_t request_id,
+StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link, MsgKind kind,
+                                         std::uint64_t request_id,
                                          std::span<const std::uint8_t> payload,
                                          std::chrono::milliseconds connect_budget,
                                          std::chrono::milliseconds io_budget) {
   Backend& b = *backends_[idx];
-  util::BufferPool& pool = util::BufferPool::global();
-  bool fresh = false;
+  const ConstBuffer parts[] = {{payload.data(), payload.size()}};
   // Up to one transparent reconnect-and-resend: a cached link the
   // backend quietly closed between requests (idle timeout, restart)
-  // shows up as a send failure or an immediate EOF. Requests are pure
-  // (PERMUTE/PROGRAM compute a function of the payload; SUBMIT_PLAN is
-  // idempotent), so a single resend is safe.
+  // shows up as a peer-gone failure. Requests are pure (PERMUTE/PROGRAM
+  // compute a function of the payload; SUBMIT_PLAN is idempotent), so a
+  // single resend is safe. Only the peer-gone taxonomy is retried: a
+  // timeout means the backend may still be working the request —
+  // resending would double the load exactly when it is struggling.
   for (int round = 0; round < 2; ++round) {
+    bool fresh = false;
     if (!link.stream.valid()) {
       StatusOr<TcpStream> conn = tcp_connect(b.addr.host, b.addr.port, connect_budget);
       if (!conn.ok()) return conn.status();
@@ -444,38 +426,20 @@ StatusOr<FrameView> Router::forward_once(std::size_t idx, BackendLink& link,
       (void)link.stream.set_io_timeout(io_budget, io_budget);
       fresh = true;
     }
-    const ConstBuffer parts[] = {{payload.data(), payload.size()}};
-    if (Status written = write_frame_parts(link.stream, kind, request_id, parts);
-        !written.is_ok()) {
-      link.stream.close();
-      if (fresh) return written;
-      continue;
-    }
     StatusOr<FrameView> response =
-        read_frame_view(link.stream, pool, link.storage, config_.max_payload_bytes);
+        call(link.stream, kind, request_id, parts, link.storage, config_.max_payload_bytes);
     if (!response.ok()) {
       link.stream.close();
-      // Only the peer-gone taxonomy is retriable here; a timeout means
-      // the backend may still be working the request — resending would
-      // double the load exactly when it is struggling.
       if (fresh || response.status().code() != StatusCode::kUnavailable) {
         return response.status();
       }
       continue;
     }
-    const FrameView& frame = response.value();
-    if (frame.request_id == 0 && static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
+    if (response.value().request_id != request_id) {
       // Pre-frame ERROR: the backend's connection cap answered the
       // *connection*, not our frame (and will close it). Surface the
       // typed frame; the caller maps it like any other ERROR answer.
       link.stream.close();
-      return response;
-    }
-    if (frame.request_id != request_id ||
-        (static_cast<MsgKind>(frame.kind) != MsgKind::kError &&
-         frame.kind != static_cast<std::uint16_t>(kind | 0x80u))) {
-      link.stream.close();
-      return Status(StatusCode::kUnavailable, "backend response does not answer the request");
     }
     return response;
   }
@@ -505,18 +469,13 @@ Status Router::push_plans(std::size_t idx, BackendLink& link,
   }
   for (const auto& [fp, payload] : to_sync) {
     (void)fp;
-    StatusOr<FrameView> response = forward_once(
-        idx, link, static_cast<std::uint16_t>(MsgKind::kSubmitPlan),
-        next_router_request_id(), {payload->data(), payload->size()},
-        config_.connect_timeout, config_.io_timeout);
+    StatusOr<FrameView> response =
+        forward_once(idx, link, MsgKind::kSubmitPlan, next_router_request_id(),
+                     {payload->data(), payload->size()}, config_.connect_timeout,
+                     config_.io_timeout);
     if (!response.ok()) return response.status();
     const FrameView& frame = response.value();
-    if (static_cast<MsgKind>(frame.kind) != MsgKind::kPlanOk) {
-      const Status typed = decode_error_view(frame.payload);
-      return typed.is_ok()
-                 ? Status(StatusCode::kUnavailable, "unexpected resync response kind")
-                 : typed;
-    }
+    if (static_cast<MsgKind>(frame.kind) != MsgKind::kPlanOk) return error_status(frame);
     b.plans_synced.fetch_add(1, std::memory_order_relaxed);
   }
   return Status::ok();
@@ -674,8 +633,8 @@ Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
       b.requests.fetch_add(1, std::memory_order_relaxed);
       util::Stopwatch clock;
       StatusOr<FrameView> response =
-          forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
-                       config_.connect_timeout, config_.io_timeout);
+          forward_once(idx, links[idx], static_cast<MsgKind>(request.kind), request.request_id,
+                       request.payload, config_.connect_timeout, config_.io_timeout);
       if (!response.ok()) {
         record_backend_transport_failure(b, trial);
         last = response.status();
@@ -690,7 +649,7 @@ Status Router::route_request(TcpStream& client, std::vector<BackendLink>& links,
         b.ok.fetch_add(1, std::memory_order_relaxed);
         return relay(frame, idx);
       }
-      const Status typed = decode_error_view(frame.payload);
+      const Status typed = error_status(frame);
       if (typed.code() == StatusCode::kResourceExhausted) {
         // RETRY_LATER is failover-eligible: the backend is alive but
         // full, and the replica may have headroom right now.
@@ -787,8 +746,8 @@ Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& l
     b.requests.fetch_add(1, std::memory_order_relaxed);
     util::Stopwatch clock;
     StatusOr<FrameView> response =
-        forward_once(idx, links[idx], request.kind, request.request_id, request.payload,
-                     config_.connect_timeout, config_.io_timeout);
+        forward_once(idx, links[idx], static_cast<MsgKind>(request.kind), request.request_id,
+                     request.payload, config_.connect_timeout, config_.io_timeout);
     if (!response.ok()) {
       record_backend_transport_failure(b, trial);
       last = response.status();
@@ -802,10 +761,10 @@ Status Router::handle_submit_plan(TcpStream& client, std::vector<BackendLink>& l
       ++acked;
       continue;
     }
-    const Status typed = decode_error_view(frame.payload);
+    const Status typed = error_status(frame);
     (typed.code() == StatusCode::kResourceExhausted ? b.retry_later : b.typed_errors)
         .fetch_add(1, std::memory_order_relaxed);
-    if (!typed.is_ok()) last = typed;
+    last = typed;
   }
 
   if (acked == 0) {
@@ -824,19 +783,18 @@ void Router::health_loop() {
 
   const auto probe = [this](std::size_t idx, BackendLink& link) -> Status {
     StatusOr<FrameView> response = forward_once(
-        idx, link, static_cast<std::uint16_t>(MsgKind::kPing), next_router_request_id(),
+        idx, link, MsgKind::kPing, next_router_request_id(),
         {kProbePayload, sizeof(kProbePayload)}, config_.probe_timeout, config_.probe_timeout);
     if (!response.ok()) return response.status();
     const FrameView& frame = response.value();
     if (static_cast<MsgKind>(frame.kind) == MsgKind::kError) {
-      const Status typed = decode_error_view(frame.payload);
+      const Status typed = error_status(frame);
       if (typed.code() == StatusCode::kResourceExhausted) {
         // At connection capacity — busy, but alive. Ejecting it would
         // only dogpile the survivors.
         return Status::ok();
       }
-      return typed.is_ok() ? Status(StatusCode::kUnavailable, "probe answered with ERROR")
-                           : typed;
+      return typed;
     }
     if (frame.payload.size() != sizeof(kProbePayload) ||
         std::memcmp(frame.payload.data(), kProbePayload, sizeof(kProbePayload)) != 0) {

@@ -210,6 +210,13 @@ class Router {
   [[nodiscard]] bool backend_healthy(std::size_t idx) const;
   [[nodiscard]] bool backend_breaker_open(std::size_t idx) const;
 
+  /// The (deterministic) pause before failover hop `hop` (1-based):
+  /// base << (hop-1), capped, plus jitter salted by `salt` (the request
+  /// id) so concurrent failovers don't march in lockstep. Exposed so
+  /// tests can pin the schedule.
+  [[nodiscard]] static std::chrono::microseconds failover_pause(const Config& config, int hop,
+                                                                std::uint64_t salt) noexcept;
+
  private:
   /// A cached connection to one backend plus the pooled storage its
   /// response payloads land in. Owned by exactly one thread.
@@ -254,12 +261,12 @@ class Router {
                                     const FrameView& request, bool& wrote_error,
                                     bool& handled);
 
-  /// One request/response exchange with backend `idx` over `link`,
-  /// reconnecting a stale cached connection once. A pre-frame ERROR
-  /// (request_id 0 — the backend's connection cap) is returned as a
-  /// view like any typed answer.
-  runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link,
-                                            std::uint16_t kind, std::uint64_t request_id,
+  /// One net::call with backend `idx` over `link`, reconnecting a
+  /// stale cached connection once. A pre-frame ERROR (request_id 0 —
+  /// the backend's connection cap) is returned as a view like any typed
+  /// answer, and closes the link.
+  runtime::StatusOr<FrameView> forward_once(std::size_t idx, BackendLink& link, MsgKind kind,
+                                            std::uint64_t request_id,
                                             std::span<const std::uint8_t> payload,
                                             std::chrono::milliseconds connect_budget,
                                             std::chrono::milliseconds io_budget);

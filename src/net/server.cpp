@@ -740,55 +740,47 @@ std::chrono::milliseconds budget_until(std::chrono::steady_clock::time_point dea
   return std::max(left, std::chrono::milliseconds(1));
 }
 
-/// Push one exchange block at a peer and wait for its ack. The link is
-/// connected lazily on the first round and reused for the second.
-/// (Peer links are plain blocking client streams — the shard-exec
-/// handler owns a dedicated thread.)
-Status send_shard_block(TcpStream& link, bool& connected, const ShardPeer& peer,
-                        std::uint64_t session_id, std::uint32_t round, std::uint32_t src,
+/// A blocking client link to one peer shard, connected lazily on the
+/// first exchange round and reused (with its ack storage) for the
+/// second. (Peer links are plain blocking client streams — the
+/// shard-exec handler owns a dedicated thread.)
+struct PeerLink {
+  TcpStream stream;
+  util::PooledBuffer ack_storage;
+};
+
+/// Push one exchange block at a peer and wait for its ack.
+Status send_shard_block(PeerLink& link, const ShardPeer& peer, std::uint64_t session_id,
+                        std::uint32_t round, std::uint32_t src,
                         std::span<const std::uint32_t> block,
-                        std::chrono::steady_clock::time_point deadline,
-                        util::BufferPool& pool) {
-  if (!connected) {
+                        std::chrono::steady_clock::time_point deadline) {
+  if (!link.stream.valid()) {
     StatusOr<TcpStream> conn = tcp_connect(peer.host, peer.port, budget_until(deadline));
     if (!conn.ok()) return conn.status();
-    link = std::move(conn).value();
-    connected = true;
+    link.stream = std::move(conn).value();
   }
   const auto budget = budget_until(deadline);
-  (void)link.set_io_timeout(budget, budget);
+  (void)link.stream.set_io_timeout(budget, budget);
 
   ShardXchgRequest header;
   header.session_id = session_id;
   header.round = round;
   header.src_shard = src;
-  const std::vector<std::uint8_t> prefix = header.encode_prefix(block.size());
-  Status sent;
-  if constexpr (std::endian::native == std::endian::little) {
-    // Native words are already wire order: the block leaves straight
-    // from the extraction scratch, scatter-gathered.
-    const ConstBuffer parts[] = {{prefix.data(), prefix.size()},
-                                 {block.data(), block.size() * sizeof(std::uint32_t)}};
-    sent = write_frame_parts(link, static_cast<std::uint16_t>(MsgKind::kShardXchg),
-                             session_id, parts);
-  } else {
+  // Native words are already wire order: on a little-endian host the
+  // block leaves straight from the extraction scratch, scatter-gathered.
+  std::vector<std::uint8_t> payload = header.encode_prefix(block.size());
+  ConstBuffer parts[] = {{payload.data(), payload.size()}, {block.data(), block.size_bytes()}};
+  std::size_t part_count = 2;
+  if constexpr (std::endian::native != std::endian::little) {
     header.block.assign(block.begin(), block.end());
-    sent = write_frame(link, make_ok_frame(session_id, MsgKind::kShardXchg, header.encode()));
+    payload = header.encode();
+    parts[0] = {payload.data(), payload.size()};
+    part_count = 1;
   }
-  if (!sent.is_ok()) return sent;
-
-  util::PooledBuffer ack_storage;
-  StatusOr<FrameView> ack = read_frame_view(link, pool, ack_storage, 4096);
+  StatusOr<FrameView> ack = call(link.stream, MsgKind::kShardXchg, session_id,
+                                 {parts, part_count}, link.ack_storage, 4096);
   if (!ack.ok()) return ack.status();
-  if (static_cast<MsgKind>(ack.value().kind) == MsgKind::kError) {
-    StatusOr<ErrorResponse> err = ErrorResponse::decode(ack.value().payload);
-    if (err.ok()) return err.value().to_status();
-    return Status(StatusCode::kUnavailable, "peer shard sent a malformed error frame");
-  }
-  if (static_cast<MsgKind>(ack.value().kind) != MsgKind::kShardXchgOk ||
-      ack.value().request_id != session_id) {
-    return Status(StatusCode::kUnavailable, "peer shard sent an unexpected exchange ack");
-  }
+  if (static_cast<MsgKind>(ack.value().kind) == MsgKind::kError) return error_status(ack.value());
   return Status::ok();
 }
 
@@ -910,8 +902,7 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
 
   // Round-1 exchange: one block per peer, each exactly once; the self
   // block scatters locally through the same exactly-once bookkeeping.
-  std::vector<TcpStream> links(bands.shards());
-  std::vector<std::uint8_t> connected(bands.shards(), 0);
+  std::vector<PeerLink> links(bands.shards());
   auto run_round = [&](std::uint32_t round,
                        std::span<const std::uint32_t> local) -> Status {
     for (std::uint32_t dst = 0; dst < bands.shards(); ++dst) {
@@ -927,11 +918,8 @@ OutboundFrame Server::handle_shard_exec(const FrameView& request) {
         if (!local_st.is_ok()) return local_st;
         continue;
       }
-      bool link_up = connected[dst] != 0;
-      const Status sent =
-          send_shard_block(links[dst], link_up, exec.peers[dst], exec.session_id, round, me,
-                           block, deadline, pool);
-      connected[dst] = link_up ? 1 : 0;
+      const Status sent = send_shard_block(links[dst], exec.peers[dst], exec.session_id,
+                                           round, me, block, deadline);
       if (!sent.is_ok()) {
         // A dead peer mid-exchange is the canonical distributed
         // failure: surface it transient so the coordinator fails the

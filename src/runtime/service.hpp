@@ -53,6 +53,7 @@
 #include "runtime/plan_cache.hpp"
 #include "runtime/program.hpp"
 #include "runtime/status.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hmm::runtime {
@@ -256,6 +257,17 @@ class RobustPermuteService {
   [[nodiscard]] Executor& executor() noexcept { return executor_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
+  /// The (deterministic) pause before plan-build retry `attempt`
+  /// (0-based): base * 2^attempt plus jitter in [0, base * 2^attempt)
+  /// so synchronized failures fan out. Exposed so tests can pin the
+  /// schedule.
+  [[nodiscard]] static std::chrono::microseconds backoff_with_jitter(const Config& config,
+                                                                     int attempt) noexcept {
+    return std::chrono::microseconds(util::jittered_backoff_us(
+        static_cast<std::uint64_t>(config.retry_backoff_base.count()), UINT64_MAX, attempt,
+        config.retry_jitter_seed, static_cast<std::uint64_t>(attempt) + 1));
+  }
+
   void wait_idle() { executor_.wait_idle(); }
   [[nodiscard]] bool wait_idle_for(std::chrono::nanoseconds timeout) {
     return executor_.wait_idle_for(timeout);
@@ -380,7 +392,7 @@ class RobustPermuteService {
           !is_transient(result.status().code())) {
         return result;
       }
-      const std::chrono::microseconds pause = backoff_with_jitter(attempt);
+      const std::chrono::microseconds pause = backoff_with_jitter(config_, attempt);
       if (opts.deadline != Executor::kNoDeadline &&
           std::chrono::steady_clock::now() + pause >= opts.deadline) {
         return result;  // no budget left to retry; ladder decides next
@@ -388,18 +400,6 @@ class RobustPermuteService {
       metrics_.record_build_retry();
       std::this_thread::sleep_for(pause);
     }
-  }
-
-  /// Backoff for retry `attempt`: base * 2^attempt plus deterministic
-  /// jitter in [0, base * 2^attempt) so synchronized failures fan out.
-  [[nodiscard]] std::chrono::microseconds backoff_with_jitter(int attempt) const {
-    const std::uint64_t base_us =
-        static_cast<std::uint64_t>(config_.retry_backoff_base.count()) << attempt;
-    std::uint64_t x = config_.retry_jitter_seed ^ (0x9e3779b97f4a7c15ull * (attempt + 1));
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    const std::uint64_t jitter_us = base_us == 0 ? 0 : (x ^ (x >> 31)) % base_us;
-    return std::chrono::microseconds(base_us + jitter_us);
   }
 
   /// The conventional tier: a D-designated permuter has no offline

@@ -314,28 +314,24 @@ net::ShardExecRequest sample_exec() {
   return req;
 }
 
-TEST(ShardCodec, ExecRoundTripsOwningAndView) {
+TEST(ShardCodec, ExecRoundTrips) {
   const net::ShardExecRequest req = sample_exec();
   const std::vector<std::uint8_t> bytes = req.encode();
 
-  auto owned = net::ShardExecRequest::decode(bytes, 1 << 20);
-  ASSERT_TRUE(owned.ok()) << owned.status().to_string();
-  EXPECT_EQ(owned.value().session_id, req.session_id);
-  EXPECT_EQ(owned.value().plan_id, req.plan_id);
-  EXPECT_EQ(owned.value().deadline_ms, req.deadline_ms);
-  EXPECT_EQ(owned.value().shard_index, req.shard_index);
-  EXPECT_EQ(owned.value().rows, req.rows);
-  EXPECT_EQ(owned.value().cols, req.cols);
-  ASSERT_EQ(owned.value().peers.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(owned.value().peers[i].host, req.peers[i].host);
-    EXPECT_EQ(owned.value().peers[i].port, req.peers[i].port);
-  }
-  EXPECT_EQ(owned.value().band, req.band);
-
   auto view = net::ShardExecRequestView::decode(bytes, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, req.session_id);
+  EXPECT_EQ(view.value().plan_id, req.plan_id);
+  EXPECT_EQ(view.value().deadline_ms, req.deadline_ms);
+  EXPECT_EQ(view.value().shard_index, req.shard_index);
+  EXPECT_EQ(view.value().rows, req.rows);
+  EXPECT_EQ(view.value().cols, req.cols);
   EXPECT_EQ(view.value().shard_count(), 3u);
+  ASSERT_EQ(view.value().peers.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(view.value().peers[i].host, req.peers[i].host);
+    EXPECT_EQ(view.value().peers[i].port, req.peers[i].port);
+  }
   ASSERT_EQ(view.value().band.count, req.band.size());
   // The band lands on an 8-byte payload offset by construction, so the
   // borrowing decode can read it in place on little-endian hosts.
@@ -347,14 +343,12 @@ TEST(ShardCodec, ExecRoundTripsOwningAndView) {
 TEST(ShardCodec, ExecRejectsHostileInputs) {
   const net::ShardExecRequest req = sample_exec();
   const std::vector<std::uint8_t> good = req.encode();
-  ASSERT_TRUE(net::ShardExecRequest::decode(good, 1 << 20).ok());
+  ASSERT_TRUE(net::ShardExecRequestView::decode(good, 1 << 20).ok());
 
   const auto expect_reject = [&](std::vector<std::uint8_t> bytes, const char* what) {
-    auto r = net::ShardExecRequest::decode(bytes, 1 << 20);
-    EXPECT_FALSE(r.ok()) << what;
-    if (!r.ok()) EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << what;
     auto v = net::ShardExecRequestView::decode(bytes, 1 << 20);
-    EXPECT_FALSE(v.ok()) << what << " (view)";
+    EXPECT_FALSE(v.ok()) << what;
+    if (!v.ok()) EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << what;
   };
 
   // Truncations at every structural boundary.
@@ -379,13 +373,13 @@ TEST(ShardCodec, ExecRejectsHostileInputs) {
 
   // Element-count cap: the same frame must be refused when the reader's
   // budget is below the band size.
-  auto capped = net::ShardExecRequest::decode(good, req.band.size() - 1);
+  auto capped = net::ShardExecRequestView::decode(good, req.band.size() - 1);
   EXPECT_FALSE(capped.ok());
 
   // Band bytes must match the declared count exactly — no trailing junk.
   std::vector<std::uint8_t> oversized = good;
   oversized.insert(oversized.end(), {0, 0, 0, 0});
-  EXPECT_FALSE(net::ShardExecRequest::decode(oversized, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardExecRequestView::decode(oversized, 1 << 20).ok());
 }
 
 TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
@@ -396,26 +390,23 @@ TEST(ShardCodec, XchgRoundTripsAndRejectsHostileInputs) {
   req.block = {1u, 2u, 3u, 0xffffffffu};
   const std::vector<std::uint8_t> good = req.encode();
 
-  auto owned = net::ShardXchgRequest::decode(good, 1 << 20);
-  ASSERT_TRUE(owned.ok()) << owned.status().to_string();
-  EXPECT_EQ(owned.value().session_id, req.session_id);
-  EXPECT_EQ(owned.value().round, 2u);
-  EXPECT_EQ(owned.value().src_shard, 5u);
-  EXPECT_EQ(owned.value().block, req.block);
-
   auto view = net::ShardXchgRequestView::decode(good, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
+  EXPECT_EQ(view.value().session_id, req.session_id);
+  EXPECT_EQ(view.value().round, 2u);
+  EXPECT_EQ(view.value().src_shard, 5u);
   ASSERT_EQ(view.value().block.count, 4u);
   std::vector<std::uint32_t> copied(4);
   view.value().block.copy_to(copied);
   EXPECT_EQ(copied, req.block);
 
-  EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.begin() + 10}, 1 << 20).ok());
-  EXPECT_FALSE(net::ShardXchgRequest::decode({good.begin(), good.end() - 2}, 1 << 20).ok());
+  EXPECT_FALSE(
+      net::ShardXchgRequestView::decode({good.begin(), good.begin() + 10}, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardXchgRequestView::decode({good.begin(), good.end() - 2}, 1 << 20).ok());
   std::vector<std::uint8_t> bad_round = good;
   bad_round[8] = 3;  // round must be 1 or 2
-  EXPECT_FALSE(net::ShardXchgRequest::decode(bad_round, 1 << 20).ok());
-  EXPECT_FALSE(net::ShardXchgRequest::decode(good, 3).ok()) << "block over element cap";
+  EXPECT_FALSE(net::ShardXchgRequestView::decode(bad_round, 1 << 20).ok());
+  EXPECT_FALSE(net::ShardXchgRequestView::decode(good, 3).ok()) << "block over element cap";
 }
 
 // --------------------------------------------------- networked fixtures

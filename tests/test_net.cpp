@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -23,6 +24,7 @@
 #include "net/client.hpp"
 #include "net/frame_io.hpp"
 #include "net/protocol.hpp"
+#include "net/router.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
 #include "net/wire.hpp"
@@ -235,13 +237,19 @@ TEST(NetProtocol, RequestKindsAreRecognized) {
   EXPECT_FALSE(net::is_request_kind(0x0000));
 }
 
+std::vector<std::uint32_t> words_of(const net::WordsView& view) {
+  std::vector<std::uint32_t> out(view.count);
+  view.copy_to(out);
+  return out;
+}
+
 TEST(NetProtocol, SubmitPlanRoundTrips) {
   net::SubmitPlanRequest in;
   in.mapping = {3, 1, 0, 2};
   const auto payload = in.encode();
-  auto out = net::SubmitPlanRequest::decode(payload, 16);
+  auto out = net::SubmitPlanRequestView::decode(payload, 16);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
-  EXPECT_EQ(out.value().mapping, in.mapping);
+  EXPECT_EQ(words_of(out.value().mapping), in.mapping);
 }
 
 TEST(NetProtocol, SubmitPlanRejectsMalformedPayloads) {
@@ -251,20 +259,20 @@ TEST(NetProtocol, SubmitPlanRejectsMalformedPayloads) {
 
   // Truncated: count promises more words than the payload carries.
   const std::span<const std::uint8_t> torn(payload.data(), payload.size() - 2);
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(torn, 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(torn, 16).ok());
 
   // Trailing garbage after the mapping.
   auto padded = payload;
   padded.push_back(0x00);
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(padded, 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(padded, 16).ok());
 
   // Count above the receiver's element budget.
-  EXPECT_EQ(net::SubmitPlanRequest::decode(payload, 3).status().code(),
+  EXPECT_EQ(net::SubmitPlanRequestView::decode(payload, 3).status().code(),
             StatusCode::kInvalidArgument);
 
   // Empty mapping.
   net::SubmitPlanRequest empty;
-  EXPECT_FALSE(net::SubmitPlanRequest::decode(empty.encode(), 16).ok());
+  EXPECT_FALSE(net::SubmitPlanRequestView::decode(empty.encode(), 16).ok());
 }
 
 TEST(NetProtocol, PermuteRequestRoundTrips) {
@@ -273,11 +281,11 @@ TEST(NetProtocol, PermuteRequestRoundTrips) {
   in.deadline_ms = 250;
   in.data = {10, 20, 30, 40, 50, 60, 70, 80};
   const auto payload = in.encode();
-  auto out = net::PermuteRequest::decode(payload, 64);
+  auto out = net::PermuteRequestView::decode(payload, 64);
   ASSERT_TRUE(out.ok()) << out.status().to_string();
   EXPECT_EQ(out.value().plan_id, in.plan_id);
   EXPECT_EQ(out.value().deadline_ms, in.deadline_ms);
-  EXPECT_EQ(out.value().data, in.data);
+  EXPECT_EQ(words_of(out.value().data), in.data);
 }
 
 TEST(NetProtocol, PermuteRequestRejectsForeignElementWidth) {
@@ -287,7 +295,7 @@ TEST(NetProtocol, PermuteRequestRejectsForeignElementWidth) {
   auto payload = in.encode();
   // elem_bytes sits after plan_id (8) + deadline_ms (4), as a u32 LE.
   payload[12] = 8;
-  const auto out = net::PermuteRequest::decode(payload, 64);
+  const auto out = net::PermuteRequestView::decode(payload, 64);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
@@ -295,9 +303,10 @@ TEST(NetProtocol, PermuteRequestRejectsForeignElementWidth) {
 TEST(NetProtocol, PermuteResponseRoundTrips) {
   net::PermuteResponse in;
   in.data = {5, 4, 3, 2, 1};
-  auto out = net::PermuteResponse::decode(in.encode(), 8);
+  const auto payload = in.encode();  // the view borrows it
+  auto out = net::WordsResponseView::decode(payload, 8);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out.value().data, in.data);
+  EXPECT_EQ(words_of(out.value().data), in.data);
 }
 
 TEST(NetProtocol, ErrorResponseRoundTripsAndMapsToStatus) {
@@ -1028,24 +1037,19 @@ TEST(WireZeroCopy, ReadFrameViewReusesPooledStorageAcrossFrames) {
   EXPECT_EQ(pool.stats().misses, 1u);
 }
 
-TEST(WireZeroCopy, PermuteRequestViewMatchesOwningDecode) {
+TEST(WireZeroCopy, PermuteRequestViewBorrowsThePayload) {
   net::PermuteRequest request;
   request.plan_id = 0x1122334455667788ull;
   request.deadline_ms = 250;
   request.data = {5, 4, 3, 2, 1, 0, 9, 8};
   const std::vector<std::uint8_t> payload = request.encode();
 
-  auto owning = net::PermuteRequest::decode(payload, 1 << 20);
-  ASSERT_TRUE(owning.ok());
   auto view = net::PermuteRequestView::decode(payload, 1 << 20);
   ASSERT_TRUE(view.ok()) << view.status().to_string();
-  EXPECT_EQ(view.value().plan_id, owning.value().plan_id);
-  EXPECT_EQ(view.value().deadline_ms, owning.value().deadline_ms);
-  ASSERT_EQ(view.value().data.count, owning.value().data.size());
-
-  std::vector<std::uint32_t> copied(view.value().data.count);
-  view.value().data.copy_to({copied.data(), copied.size()});
-  EXPECT_EQ(copied, owning.value().data);
+  EXPECT_EQ(view.value().plan_id, request.plan_id);
+  EXPECT_EQ(view.value().deadline_ms, request.deadline_ms);
+  const std::vector<std::uint32_t> copied = words_of(view.value().data);
+  EXPECT_EQ(copied, request.data);
 
   const std::span<const std::uint32_t> in_place = view.value().data.in_place();
   if (!in_place.empty()) {
@@ -1056,7 +1060,7 @@ TEST(WireZeroCopy, PermuteRequestViewMatchesOwningDecode) {
   }
 }
 
-TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloadsLikeOwningOnes) {
+TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloads) {
   net::PermuteRequest request;
   request.plan_id = 9;
   request.data = {1, 2, 3, 4};
@@ -1066,7 +1070,6 @@ TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloadsLikeOwningOnes) {
   for (std::size_t cut : {payload.size() - 1, std::size_t{5}}) {
     const std::span<const std::uint8_t> bad(payload.data(), cut);
     EXPECT_FALSE(net::PermuteRequestView::decode(bad, 1 << 20).ok()) << "cut=" << cut;
-    EXPECT_FALSE(net::PermuteRequest::decode(bad, 1 << 20).ok()) << "cut=" << cut;
   }
   EXPECT_FALSE(net::PermuteRequestView::decode(payload, 2).ok());
 
@@ -1081,20 +1084,187 @@ TEST(WireZeroCopy, ViewDecodersRejectMalformedPayloadsLikeOwningOnes) {
   EXPECT_FALSE(net::SubmitPlanRequestView::decode(plan_payload, 2).ok());
 }
 
-TEST(WireZeroCopy, PermuteResponseDecodeIntoMatchesDecode) {
-  net::PermuteResponse response;
-  response.data = {10, 20, 30, 40, 50};
-  const std::vector<std::uint8_t> payload = response.encode();
+// ------------------------------------------------- hostile-input battery
 
-  auto owning = net::PermuteResponse::decode(payload, 1 << 20);
-  ASSERT_TRUE(owning.ok());
-  std::vector<std::uint32_t> out(5);
-  ASSERT_TRUE(net::PermuteResponse::decode_into(payload, {out.data(), out.size()}).is_ok());
-  EXPECT_EQ(out, owning.value().data);
+/// One view decoder under attack: a valid payload, where its header (and
+/// peer table) ends, where its count fields sit, and a decode that
+/// re-encodes what it accepted through the owning encoder.
+struct DecoderCase {
+  struct CountField {
+    std::size_t offset = 0;
+    std::size_t width = 0;    ///< bytes: 2, 4, or 8
+    std::uint64_t limit = 0;  ///< the largest value the decoder accepts
+  };
+  std::string name;
+  std::vector<std::uint8_t> payload;
+  std::size_t header_len = 0;
+  std::vector<CountField> counts;
+  std::function<runtime::StatusOr<std::vector<std::uint8_t>>(std::span<const std::uint8_t>)>
+      reencode;
+};
 
-  // Count mismatch with the caller's buffer is an error, not a resize.
-  std::vector<std::uint32_t> wrong(4);
-  EXPECT_FALSE(net::PermuteResponse::decode_into(payload, {wrong.data(), wrong.size()}).is_ok());
+constexpr std::uint64_t kFuzzMaxElements = 64;
+
+template <class View, class Encode>
+auto reencoder(Encode encode) {
+  return [encode](std::span<const std::uint8_t> bytes)
+             -> runtime::StatusOr<std::vector<std::uint8_t>> {
+    auto view = View::decode(bytes, kFuzzMaxElements);
+    if (!view.ok()) return view.status();
+    return encode(view.value());
+  };
+}
+
+std::vector<DecoderCase> decoder_cases() {
+  std::vector<DecoderCase> cases;
+  const std::vector<std::uint32_t> words = {7, 3, 0, 5, 1, 6, 2, 4};
+  const std::uint64_t n = words.size();
+  {
+    net::SubmitPlanRequest req;
+    req.mapping = words;
+    cases.push_back({"SUBMIT_PLAN", req.encode(), 8, {{0, 8, kFuzzMaxElements}},
+                     reencoder<net::SubmitPlanRequestView>([](const auto& v) {
+                       return net::SubmitPlanRequest{words_of(v.mapping)}.encode();
+                     })});
+  }
+  {
+    net::PermuteRequest req;
+    req.plan_id = 0x0123456789abcdefull;
+    req.deadline_ms = 77;
+    req.data = words;
+    cases.push_back({"PERMUTE", req.encode(), 24, {{16, 8, kFuzzMaxElements}},
+                     reencoder<net::PermuteRequestView>([](const auto& v) {
+                       return net::PermuteRequest{v.plan_id, v.deadline_ms, words_of(v.data)}
+                           .encode();
+                     })});
+  }
+  {
+    net::ExecuteProgramRequest req;
+    req.deadline_ms = 5;
+    req.flags = net::kProgramFlagStaged;
+    req.ops = {{runtime::ProgramOpCode::kPermute, 0xabcdull},
+               {runtime::ProgramOpCode::kRotate, 3}};
+    req.data = words;
+    const std::size_t header = 24 + 16 * req.ops.size();
+    cases.push_back({"EXECUTE_PROGRAM", req.encode(), header,
+                     {{12, 4, runtime::kMaxProgramOps}, {header - 8, 8, kFuzzMaxElements}},
+                     reencoder<net::ExecuteProgramRequestView>([](const auto& v) {
+                       return net::ExecuteProgramRequest{v.deadline_ms, v.flags, v.ops,
+                                                         words_of(v.data)}
+                           .encode();
+                     })});
+  }
+  {
+    net::ShardExecRequest req;
+    req.session_id = 0x1111222233334444ull;
+    req.plan_id = 0x5555666677778888ull;
+    req.deadline_ms = 900;
+    req.shard_index = 1;
+    req.rows = 4;
+    req.cols = 4;
+    req.peers = {{"a", 7001}, {"host-b", 7002}};
+    req.band = words;
+    const std::vector<std::uint8_t> payload = req.encode();
+    const std::size_t header = payload.size() - n * net::kElemBytes;
+    // Peer table: {u16 port, u16 host_len, host} from offset 56.
+    cases.push_back({"SHARD_EXEC", payload, header,
+                     {{32, 4, net::kMaxWireShards},
+                      {58, 2, net::kMaxShardHostLen},
+                      {58 + 4 + 1, 2, net::kMaxShardHostLen},
+                      {header - 8, 8, kFuzzMaxElements}},
+                     reencoder<net::ShardExecRequestView>([](const auto& v) {
+                       return net::ShardExecRequest{v.session_id, v.plan_id, v.deadline_ms,
+                                                    v.shard_index, v.rows, v.cols, v.peers,
+                                                    words_of(v.band)}
+                           .encode();
+                     })});
+  }
+  {
+    net::ShardXchgRequest req;
+    req.session_id = 0x9999aaaabbbbccccull;
+    req.round = 2;
+    req.src_shard = 3;
+    req.block = words;
+    cases.push_back({"SHARD_XCHG", req.encode(), 24, {{16, 8, kFuzzMaxElements}},
+                     reencoder<net::ShardXchgRequestView>([](const auto& v) {
+                       return net::ShardXchgRequest{v.session_id, v.round, v.src_shard,
+                                                    words_of(v.block)}
+                           .encode();
+                     })});
+  }
+  {
+    net::PermuteResponse resp;
+    resp.data = words;
+    cases.push_back({"WORDS_RESPONSE", resp.encode(), 8, {{0, 8, kFuzzMaxElements}},
+                     reencoder<net::WordsResponseView>([](const auto& v) {
+                       return net::PermuteResponse{words_of(v.data)}.encode();
+                     })});
+  }
+  {
+    net::ErrorResponse err;
+    err.code = static_cast<std::uint32_t>(net::WireError::kRetryLater);
+    err.message = "full";
+    const std::vector<std::uint8_t> payload = err.encode();
+    cases.push_back({"ERROR", payload, payload.size(), {},
+                     [](std::span<const std::uint8_t> bytes)
+                         -> runtime::StatusOr<std::vector<std::uint8_t>> {
+                       auto decoded = net::ErrorResponse::decode(bytes);
+                       if (!decoded.ok()) return decoded.status();
+                       return decoded.value().encode();
+                     }});
+  }
+  return cases;
+}
+
+/// The invariant: a hostile payload either fails typed kInvalidArgument
+/// or decodes to exactly what it says — re-encoding gives its bytes back.
+void expect_typed_or_exact(const DecoderCase& c, std::span<const std::uint8_t> bytes,
+                           const std::string& what) {
+  const auto result = c.reencode(bytes);
+  if (!result.ok()) {
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << c.name << ": " << what;
+    return;
+  }
+  EXPECT_TRUE(std::equal(result.value().begin(), result.value().end(), bytes.begin(),
+                         bytes.end()))
+      << c.name << ": " << what << " decoded but did not re-encode to the same bytes";
+}
+
+TEST(NetProtocol, EveryViewDecoderIsTypedOrExactOnHostileBytes) {
+  for (const DecoderCase& c : decoder_cases()) {
+    const auto valid = c.reencode(c.payload);
+    ASSERT_TRUE(valid.ok()) << c.name << ": " << valid.status().to_string();
+    EXPECT_EQ(valid.value(), c.payload) << c.name;
+
+    for (std::size_t cut = 0; cut < c.payload.size(); ++cut) {
+      expect_typed_or_exact(c, {c.payload.data(), cut}, "truncated at " + std::to_string(cut));
+    }
+    for (std::size_t at = 0; at < c.header_len; ++at) {
+      for (const std::uint8_t value : {std::uint8_t{0x00}, std::uint8_t{0xff}}) {
+        std::vector<std::uint8_t> bad = c.payload;
+        bad[at] = value;
+        expect_typed_or_exact(c, bad, "byte " + std::to_string(at) + " = " +
+                                          std::to_string(value));
+      }
+    }
+    for (const DecoderCase::CountField& field : c.counts) {
+      std::uint64_t count = 0;
+      for (std::size_t i = 0; i < field.width; ++i) {
+        count |= static_cast<std::uint64_t>(c.payload[field.offset + i]) << (8 * i);
+      }
+      const std::uint64_t all_ones =
+          field.width == 8 ? ~0ull : (1ull << (8 * field.width)) - 1;
+      for (const std::uint64_t value :
+           {count - 1, count + 1, field.limit + 1, all_ones}) {
+        std::vector<std::uint8_t> bad = c.payload;
+        for (std::size_t i = 0; i < field.width; ++i) {
+          bad[field.offset + i] = static_cast<std::uint8_t>(value >> (8 * i));
+        }
+        expect_typed_or_exact(c, bad, "count at " + std::to_string(field.offset) + " = " +
+                                          std::to_string(value));
+      }
+    }
+  }
 }
 
 TEST(WireZeroCopy, MakeOkFrameMovesThePayload) {
@@ -1514,6 +1684,251 @@ TEST(NetClient, MidFrameCloseSurfacesCancelledAndIsNotRetried) {
 
   EXPECT_EQ(s.code(), StatusCode::kCancelled) << s.to_string();
   EXPECT_EQ(client.reconnects(), 0u) << "client retried a request with unknown outcome";
+}
+
+// --------------------------------------------------- the round trip
+
+/// A one-shot scripted HMMP peer on a loopback port: accepts one
+/// connection, reads one request frame, answers with the raw bytes
+/// `script` builds from it, and closes.
+class ScriptedPeer {
+ public:
+  using Script = std::function<std::vector<std::uint8_t>(const net::Frame& request)>;
+
+  explicit ScriptedPeer(Script script)
+      : listener_(net::TcpListener::bind("127.0.0.1", 0).value()) {
+    thread_ = std::thread([this, script = std::move(script)] {
+      auto accepted = listener_.accept(5'000ms);
+      if (!accepted.ok()) return;
+      net::TcpStream conn = std::move(accepted).value();
+      auto request = net::read_frame(conn);
+      if (!request.ok()) return;
+      request_ = std::move(request).value();
+      const std::vector<std::uint8_t> bytes = script(request_);
+      (void)conn.send_all(bytes.data(), bytes.size());
+    });
+  }
+  ~ScriptedPeer() { join(); }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
+  /// The request the peer read (joins the peer first).
+  const net::Frame& request() {
+    join();
+    return request_;
+  }
+
+ private:
+  void join() {
+    if (thread_.joinable()) thread_.join();
+  }
+
+  net::TcpListener listener_;
+  net::Frame request_;
+  std::thread thread_;
+};
+
+std::vector<std::uint8_t> frame_bytes(std::uint16_t kind, std::uint64_t id,
+                                      std::vector<std::uint8_t> payload) {
+  net::Frame frame;
+  frame.kind = kind;
+  frame.request_id = id;
+  frame.payload = std::move(payload);
+  return net::encode_frame(frame);
+}
+
+std::vector<std::uint8_t> error_payload(net::WireError code) {
+  net::ErrorResponse err;
+  err.code = static_cast<std::uint32_t>(code);
+  err.message = "scripted";
+  return err.encode();
+}
+
+constexpr std::uint16_t kPingOk = static_cast<std::uint16_t>(net::MsgKind::kPingOk);
+constexpr std::uint16_t kErrorKind = static_cast<std::uint16_t>(net::MsgKind::kError);
+
+/// net::call a PING (request id 42) against `peer`; the answer is copied
+/// out of the pooled storage.
+runtime::StatusOr<net::Frame> call_peer(ScriptedPeer& peer,
+                                        std::uint32_t max_payload = net::kDefaultMaxPayload) {
+  auto conn = net::tcp_connect("127.0.0.1", peer.port(), 2'000ms);
+  if (!conn.ok()) return conn.status();
+  net::TcpStream stream = std::move(conn).value();
+  (void)stream.set_io_timeout(5'000ms, 5'000ms);
+  static constexpr std::uint8_t kProbe[] = {'p', 'i', 'n', 'g'};
+  const net::ConstBuffer parts[] = {{kProbe, sizeof(kProbe)}};
+  util::PooledBuffer storage;
+  auto response = net::call(stream, net::MsgKind::kPing, 42, parts, storage, max_payload);
+  if (!response.ok()) return response.status();
+  net::Frame frame;
+  frame.kind = response.value().kind;
+  frame.request_id = response.value().request_id;
+  frame.payload.assign(response.value().payload.begin(), response.value().payload.end());
+  return frame;
+}
+
+TEST(NetCall, AcceptsTheAnswerToItsRequest) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    return frame_bytes(kPingOk, request.request_id, request.payload);
+  });
+  auto answer = call_peer(peer);
+  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  EXPECT_EQ(answer.value().kind, kPingOk);
+  EXPECT_EQ(answer.value().request_id, 42u);
+  EXPECT_EQ(answer.value().payload, peer.request().payload);
+  EXPECT_EQ(peer.request().kind, static_cast<std::uint16_t>(net::MsgKind::kPing));
+}
+
+TEST(NetCall, RejectsAWrongRequestId) {
+  for (const std::uint16_t kind : {kPingOk, kErrorKind}) {
+    ScriptedPeer peer([kind](const net::Frame& request) {
+      return frame_bytes(kind, request.request_id + 1,
+                         error_payload(net::WireError::kInvalidArgument));
+    });
+    auto answer = call_peer(peer);
+    ASSERT_FALSE(answer.ok()) << "kind " << kind;
+    EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable) << "kind " << kind;
+  }
+}
+
+TEST(NetCall, RejectsAKindThatDoesNotAnswerTheRequest) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    return frame_bytes(static_cast<std::uint16_t>(net::MsgKind::kPlanOk), request.request_id,
+                       {});
+  });
+  auto answer = call_peer(peer);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(NetCall, IdZeroIsAcceptedOnlyAsAPreFrameError) {
+  {
+    ScriptedPeer peer([](const net::Frame&) {
+      return frame_bytes(kErrorKind, 0, error_payload(net::WireError::kRetryLater));
+    });
+    auto answer = call_peer(peer);
+    ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+    EXPECT_EQ(answer.value().request_id, 0u);
+    const net::FrameView view{answer.value().kind, 0, answer.value().payload};
+    EXPECT_EQ(net::error_status(view).code(), StatusCode::kResourceExhausted);
+  }
+  {
+    ScriptedPeer peer([](const net::Frame&) { return frame_bytes(kPingOk, 0, {}); });
+    auto answer = call_peer(peer);
+    ASSERT_FALSE(answer.ok());
+    EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable);
+  }
+}
+
+TEST(NetCall, MalformedErrorPayloadMapsToUnavailable) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    return frame_bytes(kErrorKind, request.request_id, {0x01, 0x00});  // code cut short
+  });
+  auto answer = call_peer(peer);
+  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  const net::FrameView view{answer.value().kind, answer.value().request_id,
+                            answer.value().payload};
+  EXPECT_EQ(net::error_status(view).code(), StatusCode::kUnavailable);
+}
+
+TEST(NetCall, ErrorClaimingOkMapsToUnavailable) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    return frame_bytes(kErrorKind, request.request_id, error_payload(net::WireError::kOk));
+  });
+  auto answer = call_peer(peer);
+  ASSERT_TRUE(answer.ok()) << answer.status().to_string();
+  const net::FrameView view{answer.value().kind, answer.value().request_id,
+                            answer.value().payload};
+  EXPECT_EQ(net::error_status(view).code(), StatusCode::kUnavailable);
+}
+
+TEST(NetCall, FrameOverMaxPayloadIsAProtocolError) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    return frame_bytes(kPingOk, request.request_id, std::vector<std::uint8_t>(64, 0xab));
+  });
+  auto answer = call_peer(peer, 16);
+  ASSERT_FALSE(answer.ok());
+  EXPECT_EQ(answer.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NetCall, EofMidFrameKeepsTheTransportTaxonomy) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    std::vector<std::uint8_t> bytes =
+        frame_bytes(kPingOk, request.request_id, {1, 2, 3, 4, 5, 6, 7, 8});
+    bytes.resize(net::kHeaderBytes + 2);  // header promises 8 bytes, 2 arrive
+    return bytes;
+  });
+  auto answer = call_peer(peer);
+  ASSERT_FALSE(answer.ok());
+  // call() does not remap: the Client alone turns this into kCancelled.
+  EXPECT_EQ(answer.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(answer.status().message().find("mid-frame"), std::string::npos)
+      << answer.status().to_string();
+}
+
+net::Client::Config scripted_client_config(const ScriptedPeer& peer) {
+  net::Client::Config config;
+  config.host = "127.0.0.1";
+  config.port = peer.port();
+  config.connect_timeout = 2'000ms;
+  config.io_timeout = 5'000ms;
+  config.max_retries = 0;
+  return config;
+}
+
+TEST(NetClient, SubmitPlanSendsTheEncodedMappingBytes) {
+  const perm::Permutation p = perm::by_name("random", 1024, 11);
+  ScriptedPeer peer([](const net::Frame& request) {
+    net::ByteWriter w;
+    w.put_u64(0x5151);
+    return frame_bytes(static_cast<std::uint16_t>(net::MsgKind::kPlanOk), request.request_id,
+                       w.take());
+  });
+  net::Client client(scripted_client_config(peer));
+  auto plan_id = client.submit_plan(p);
+  ASSERT_TRUE(plan_id.ok()) << plan_id.status().to_string();
+  EXPECT_EQ(plan_id.value(), 0x5151u);
+
+  net::SubmitPlanRequest expected;
+  expected.mapping.assign(p.data().begin(), p.data().end());
+  EXPECT_EQ(peer.request().kind, static_cast<std::uint16_t>(net::MsgKind::kSubmitPlan));
+  EXPECT_EQ(peer.request().payload, expected.encode());
+}
+
+TEST(NetClient, PermuteOkWithTheWrongCountIsAProtocolBreach) {
+  ScriptedPeer peer([](const net::Frame& request) {
+    net::PermuteResponse short_answer;
+    short_answer.data = {1, 2, 3, 4};
+    return frame_bytes(static_cast<std::uint16_t>(net::MsgKind::kPermuteOk),
+                       request.request_id, short_answer.encode());
+  });
+  net::Client client(scripted_client_config(peer));
+  const std::vector<std::uint32_t> in = {5, 6, 7, 8, 9};
+  std::vector<std::uint32_t> out(in.size(), 0);
+  const Status s = client.permute(1, in, out);
+  EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.to_string();
+  EXPECT_EQ(out, std::vector<std::uint32_t>(in.size(), 0)) << "a rejected answer was written";
+}
+
+// The three jittered-backoff schedules share one helper; each must stay
+// bit-identical to the values it produced before they were merged.
+TEST(JitteredBackoff, SchedulesArePinned) {
+  const net::Client::Config client{};
+  const net::Router::Config router{};
+  const runtime::RobustPermuteService::Config service{};
+  const std::int64_t client_us[] = {0, 47704, 64086, 144196, 207840, 658761, 1350907};
+  const std::int64_t router_us[] = {0, 3109, 6740, 13340, 17363, 47859, 90775};
+  const std::int64_t service_us[] = {304, 486, 996, 3040, 5961, 6907, 23198};
+  for (int attempt = 0; attempt <= 6; ++attempt) {
+    EXPECT_EQ(net::Client::retry_backoff(client, attempt).count(), client_us[attempt])
+        << "client attempt " << attempt;
+    EXPECT_EQ(net::Router::failover_pause(router, attempt, 0x1234).count(), router_us[attempt])
+        << "router hop " << attempt;
+    EXPECT_EQ(runtime::RobustPermuteService::backoff_with_jitter(service, attempt).count(),
+              service_us[attempt])
+        << "service attempt " << attempt;
+  }
 }
 
 }  // namespace
