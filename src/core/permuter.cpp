@@ -8,8 +8,17 @@ std::string_view to_string(Strategy s) noexcept {
     case Strategy::kScheduled: return "scheduled";
     case Strategy::kSDesignated: return "s-designated";
     case Strategy::kDDesignated: return "d-designated";
+    case Strategy::kMeasured: return "measured";
   }
   return "?";
+}
+
+std::optional<Strategy> parse_strategy(std::string_view name) noexcept {
+  for (const Strategy s : {Strategy::kAuto, Strategy::kScheduled, Strategy::kSDesignated,
+                           Strategy::kDDesignated, Strategy::kMeasured}) {
+    if (to_string(s) == name) return s;
+  }
+  return std::nullopt;
 }
 
 }  // namespace hmm::core

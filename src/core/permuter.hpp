@@ -3,24 +3,35 @@
 /// \brief `OfflinePermuter<T>` — the one-stop downstream API.
 ///
 /// Wraps the paper's decision problem for the user: given a permutation
-/// known in advance, pick the best algorithm for this machine (the
-/// scheduled plan when the permutation's distribution is high and the
-/// size supports it; the conventional gather otherwise), own the
-/// scratch buffers, and expose a single `permute(a, b)` call that can
-/// be invoked any number of times.
+/// known in advance, pick an algorithm (the scheduled plan or the
+/// conventional gather), own the scratch buffers, and expose a single
+/// `permute(a, b)` call that can be invoked any number of times.
 ///
-/// The selection rule mirrors Lemma 4 vs Theorem 9: scheduled wins when
-///   16(n/w + l - 1) + 16 n/(dw)  <  2(n/w + l - 1) + d_w(P) + l - 1,
-/// evaluated with the actual machine parameters and measured d_w(P).
+/// Two rules choose the algorithm:
+///  - `kMeasured`, the default of the one-argument constructor and of
+///    the serving path, times both candidates on this host
+///    (host_cost.hpp): the S-designated gather of this very permutation
+///    against the host's memoized five-pass sweep time for (n, sizeof(T)),
+///    and builds the plan only when the sweep is strictly faster. On a
+///    CPU the gather wins while the arrays fit the last-level cache —
+///    the host-side image of the paper's Section VIII small-n inversion
+///    (EXPERIMENTS.md, "Measured strategy").
+///  - `kAuto`, the default when a machine is given, mirrors Lemma 4 vs
+///    Theorem 9: scheduled wins when
+///      16(n/w + l - 1) + 16 n/(dw)  <  2(n/w + l - 1) + d_w(P) + l - 1,
+///    evaluated with the machine parameters and measured d_w(P). It is
+///    the paper's model and what Table I, the simulator and `diagnose`
+///    use.
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <string_view>
 
 #include "core/conventional.hpp"
+#include "core/host_cost.hpp"
 #include "core/plan.hpp"
 #include "core/scheduled.hpp"
+#include "core/strategy.hpp"
 #include "model/cost.hpp"
 #include "perm/distribution.hpp"
 #include "util/bits.hpp"
@@ -28,24 +39,19 @@
 
 namespace hmm::core {
 
-/// Execution strategy of an OfflinePermuter.
-enum class Strategy {
-  kAuto,           ///< pick by model cost (default)
-  kScheduled,      ///< force the paper's scheduled algorithm
-  kSDesignated,    ///< force conventional gather  (b[i] = a[p̄[i]])
-  kDDesignated,    ///< force conventional scatter (b[p[i]] = a[i])
-};
-
-std::string_view to_string(Strategy s) noexcept;
-
 template <class T>
 class OfflinePermuter {
  public:
+  /// Compile the permuter for this host: `kMeasured` with the default
+  /// machine's width and plan rules.
+  explicit OfflinePermuter(perm::Permutation p)
+      : OfflinePermuter(std::move(p), model::MachineParams::gtx680(), Strategy::kMeasured) {}
+
   /// Compile the permuter. The permutation is copied (it defines the
-  /// object); plan/inverse construction is the offline phase.
-  explicit OfflinePermuter(perm::Permutation p,
-                           model::MachineParams machine = model::MachineParams::gtx680(),
-                           Strategy strategy = Strategy::kAuto)
+  /// object); plan/inverse construction is the offline phase. `probe`
+  /// replaces kMeasured's host timings (tests pin the decision with it).
+  OfflinePermuter(perm::Permutation p, model::MachineParams machine,
+                  Strategy strategy = Strategy::kAuto, const CostProbe& probe = {})
       : perm_(std::move(p)), machine_(machine) {
     const util::Stopwatch build_clock;
     const std::uint64_t n = perm_.size();
@@ -61,6 +67,18 @@ class OfflinePermuter {
       } else {
         chosen_ = Strategy::kSDesignated;
       }
+    } else if (strategy == Strategy::kMeasured) {
+      // A plan that would not fit shared memory for T is not a
+      // candidate: the gather serves it instead of the check aborting.
+      chosen_ = Strategy::kSDesignated;
+      if (plannable && ScheduledPlan::shared_bytes_needed(shape_for(n, machine_.width),
+                                                          machine_.width, sizeof(T)) <=
+                           machine_.shared_bytes) {
+        inverse_.emplace(perm_.inverse());
+        measured_ = measure_costs<T>(util::ThreadPool::global(), *inverse_, machine_.width, probe);
+        chosen_ = measured_choice(plannable, *measured_);
+        if (chosen_ == Strategy::kScheduled) inverse_.reset();
+      }
     }
     HMM_CHECK_MSG(chosen_ != Strategy::kScheduled || plannable,
                   "scheduled strategy requires power-of-two n >= width^2");
@@ -73,18 +91,24 @@ class OfflinePermuter {
                       "plan does not fit this machine's shared memory for T");
         break;
       case Strategy::kSDesignated:
-        inverse_.emplace(perm_.inverse());
+        if (!inverse_) inverse_.emplace(perm_.inverse());
         break;
       case Strategy::kDDesignated:
         break;
       case Strategy::kAuto:
+      case Strategy::kMeasured:
         break;  // unreachable; resolved above
     }
     offline_seconds_ = build_clock.seconds();
   }
 
-  /// The strategy actually in use (after kAuto resolution).
+  /// The strategy actually in use (after kAuto / kMeasured resolution).
   [[nodiscard]] Strategy strategy() const noexcept { return chosen_; }
+  /// The timings kMeasured decided from; empty under any other rule and
+  /// for sizes the plan does not support.
+  [[nodiscard]] const std::optional<MeasuredCosts>& measured_costs() const noexcept {
+    return measured_;
+  }
   [[nodiscard]] const perm::Permutation& permutation() const noexcept { return perm_; }
   [[nodiscard]] const model::MachineParams& machine() const noexcept { return machine_; }
   [[nodiscard]] std::uint64_t size() const noexcept { return perm_.size(); }
@@ -95,7 +119,8 @@ class OfflinePermuter {
   }
 
   /// Wall-clock seconds the constructor spent on the offline phase
-  /// (strategy selection + plan build or inverse computation). This is
+  /// (strategy selection — kMeasured's timings included — plus plan
+  /// build or inverse computation). This is
   /// the cost a plan cache amortizes away on a hit.
   [[nodiscard]] double offline_build_seconds() const noexcept { return offline_seconds_; }
 
@@ -188,6 +213,7 @@ class OfflinePermuter {
         return model::d_designated_time(n, perm::distribution(perm_, machine_.width),
                                         machine_);
       case Strategy::kAuto:
+      case Strategy::kMeasured:
         break;
     }
     return 0;
@@ -215,6 +241,7 @@ class OfflinePermuter {
   perm::Permutation perm_;
   model::MachineParams machine_;
   Strategy chosen_;
+  std::optional<MeasuredCosts> measured_;
   double offline_seconds_ = 0;
   std::optional<ScheduledPlan> plan_;
   std::optional<perm::Permutation> inverse_;

@@ -129,10 +129,14 @@ std::uint64_t ScheduledPlan::schedule_bytes() const noexcept {
 }
 
 std::uint64_t ScheduledPlan::shared_bytes_needed(std::uint64_t elem_size) const noexcept {
-  const std::uint64_t row_pass =
-      std::max(row_pass_shared_bytes(shape_.cols, elem_size),
-               row_pass_shared_bytes(shape_.rows, elem_size));
-  return std::max(row_pass, transpose_shared_bytes(params_.width, elem_size));
+  return shared_bytes_needed(shape_, params_.width, elem_size);
+}
+
+std::uint64_t ScheduledPlan::shared_bytes_needed(const MatrixShape& shape, std::uint32_t width,
+                                                 std::uint64_t elem_size) noexcept {
+  const std::uint64_t row_pass = std::max(row_pass_shared_bytes(shape.cols, elem_size),
+                                          row_pass_shared_bytes(shape.rows, elem_size));
+  return std::max(row_pass, transpose_shared_bytes(width, elem_size));
 }
 
 bool ScheduledPlan::fits_shared(std::uint64_t elem_size) const noexcept {

@@ -78,6 +78,11 @@ class ScheduledPlan {
   /// Shared memory per block required to execute with `elem_size`-byte
   /// elements (the max over the three row passes and the transpose tile).
   [[nodiscard]] std::uint64_t shared_bytes_needed(std::uint64_t elem_size) const noexcept;
+  /// The same for any plan of this shape and machine width — known
+  /// before a plan is built.
+  [[nodiscard]] static std::uint64_t shared_bytes_needed(const MatrixShape& shape,
+                                                         std::uint32_t width,
+                                                         std::uint64_t elem_size) noexcept;
 
   /// True iff the plan fits this machine's shared memory for the
   /// element size (the paper's 48 KiB / double limitation).

@@ -140,6 +140,7 @@ Server::Counters Server::counters() const {
   c.requests_error = requests_error_.load(std::memory_order_relaxed);
   c.protocol_errors = protocol_errors_.load(std::memory_order_relaxed);
   c.plans_registered = plans_registered_.load(std::memory_order_relaxed);
+  c.plans_evicted = plans_evicted_.load(std::memory_order_relaxed);
   c.idle_closed = idle_closed_.load(std::memory_order_relaxed);
   c.shard_execs = shard_execs_.load(std::memory_order_relaxed);
   c.shard_blocks = shard_blocks_.load(std::memory_order_relaxed);
@@ -151,6 +152,11 @@ Server::Counters Server::counters() const {
 std::uint64_t Server::plans() const {
   std::lock_guard lock(plans_mutex_);
   return plans_.size();
+}
+
+std::uint64_t Server::plan_bytes() const {
+  std::lock_guard lock(plans_mutex_);
+  return plan_bytes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -392,7 +398,11 @@ void Server::reactor_loop(Reactor& r) {
     for (std::size_t i = 0; i < n.value(); ++i) {
       const Epoll::Event& event = events[i];
       if (event.data == 0) {
+        // Posts that landed after the drain above rang this doorbell;
+        // reading the eventfd consumed their signal, so take them now
+        // or they wait out a whole poll_interval.
         r.wakeup.drain();
+        drain_inbox(r);
         continue;
       }
       auto it = r.conns.find(event.data);
@@ -599,15 +609,22 @@ Frame Server::handle_submit_plan(const FrameView& request) {
 
   {
     std::lock_guard lock(plans_mutex_);
-    auto it = plans_.find(plan_id);
-    if (it == plans_.end()) {
-      if (plans_.size() >= config_.max_plans) {
-        return make_error_frame(
-            request.request_id,
-            Status(StatusCode::kResourceExhausted, "plan registry full; retry later"));
-      }
-      plans_.emplace(plan_id, std::move(plan));
+    if (const auto it = plans_.find(plan_id); it != plans_.end()) {
+      plans_lru_.splice(plans_lru_.begin(), plans_lru_, it->second.lru_it);
+    } else {
+      plans_lru_.push_front(plan_id);
+      plan_bytes_ += plan.permutation().size() * kElemBytes;
+      plans_.emplace(plan_id, RegisteredPlan{std::move(plan), plans_lru_.begin()});
       plans_registered_.fetch_add(1, std::memory_order_relaxed);
+      // Evict from the cold end; the plan just registered sits at the
+      // front and survives even when it alone exceeds the budget.
+      while (plan_bytes_ > config_.max_plan_bytes && plans_lru_.back() != plan_id) {
+        const auto victim = plans_.find(plans_lru_.back());
+        plan_bytes_ -= victim->second.plan.permutation().size() * kElemBytes;
+        plans_.erase(victim);
+        plans_lru_.pop_back();
+        plans_evicted_.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   }
   return plan_ok(plan_id);
@@ -616,7 +633,9 @@ Frame Server::handle_submit_plan(const FrameView& request) {
 runtime::PlanHandle Server::find_plan(std::uint64_t plan_id) const {
   std::lock_guard lock(plans_mutex_);
   const auto it = plans_.find(plan_id);
-  return it == plans_.end() ? runtime::PlanHandle{} : it->second;
+  if (it == plans_.end()) return {};
+  plans_lru_.splice(plans_lru_.begin(), plans_lru_, it->second.lru_it);
+  return it->second.plan;
 }
 
 template <class Options, class Submit>
@@ -693,8 +712,9 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
                                  "PERMUTE: element count does not match the plan size"));
   }
 
-  return serve_elements(request, MsgKind::kPermuteOk, permute.data, permute.deadline_ms,
-                        runtime::RequestOptions{},
+  runtime::RequestOptions options;
+  options.strategy = config_.strategy;
+  return serve_elements(request, MsgKind::kPermuteOk, permute.data, permute.deadline_ms, options,
                         [&](std::span<const std::uint32_t> in, std::span<std::uint32_t> out,
                             const runtime::RequestOptions& opts) {
                           return service_.submit<std::uint32_t>(plan, in, out, opts);
@@ -719,6 +739,7 @@ OutboundFrame Server::handle_program(const FrameView& request) {
   program.ops = program_req.ops;
 
   runtime::ProgramRequestOptions opts;
+  opts.strategy = config_.strategy;
   opts.force_staged = program_req.force_staged();
   // PROGRAM_OK mirrors PERMUTE_OK byte for byte.
   return serve_elements(request, MsgKind::kProgramOk, program_req.data, program_req.deadline_ms,
@@ -1023,6 +1044,7 @@ Frame Server::handle_stats(std::uint64_t request_id) {
      << ",\"requests_error\":" << c.requests_error
      << ",\"protocol_errors\":" << c.protocol_errors
      << ",\"plans_registered\":" << c.plans_registered
+     << ",\"plans_evicted\":" << c.plans_evicted
      << ",\"idle_closed\":" << c.idle_closed
      << ",\"shard_execs\":" << c.shard_execs
      << ",\"shard_blocks\":" << c.shard_blocks
@@ -1031,7 +1053,7 @@ Frame Server::handle_stats(std::uint64_t request_id) {
      << ",\"shard_hold_bytes\":" << shard_sessions_.held_bytes()
      << ",\"shard_hold_rejections\":" << c.shard_hold_rejections
      << ",\"io_threads\":" << reactors_.size()
-     << ",\"plans\":" << plans() << "}";
+     << ",\"plans\":" << plans() << ",\"plan_bytes\":" << plan_bytes() << "}";
   if (service_json.size() > 2 && service_json.front() == '{') {
     os << "," << service_json.substr(1);
   } else {

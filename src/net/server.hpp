@@ -77,9 +77,18 @@ class Server {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;  ///< 0 = ephemeral; read back via port()
     std::uint32_t max_payload_bytes = kDefaultMaxPayload;
-    /// Upper bound on registered plans (fingerprint-deduplicated).
-    /// At the bound, SUBMIT_PLAN answers RETRY_LATER.
-    std::uint32_t max_plans = 4096;
+    /// Byte budget of the plan registry (4 bytes per mapping word).
+    /// Past it, the least recently used plans are dropped — a PERMUTE
+    /// or SUBMIT_PLAN counts as a use — so a registry cannot pin
+    /// unbounded memory; the plan just registered is always kept, even
+    /// alone over budget. An evicted plan id answers "unknown plan id"
+    /// like any never-registered one: the client re-submits it, and
+    /// `Router` does so by itself (push-and-retry).
+    std::uint64_t max_plan_bytes = 64ull << 20;
+    /// Strategy of PERMUTE and EXECUTE_PROGRAM requests (SHARD_EXEC
+    /// always runs the scheduled plan's bands). The default times the
+    /// gather against the host's sweep per plan.
+    core::Strategy strategy = core::Strategy::kMeasured;
     /// Connection cap; excess connections get a RETRY_LATER error
     /// frame and a close, never a silent drop.
     std::uint32_t max_connections = 256;
@@ -134,6 +143,7 @@ class Server {
     std::uint64_t requests_error = 0;  ///< ERROR responses actually written
     std::uint64_t protocol_errors = 0;       ///< framing violations received
     std::uint64_t plans_registered = 0;
+    std::uint64_t plans_evicted = 0;  ///< dropped from the registry over max_plan_bytes
     std::uint64_t idle_closed = 0;  ///< connections closed by idle_timeout
     std::uint64_t shard_execs = 0;        ///< SHARD_EXEC band executions completed
     std::uint64_t shard_blocks = 0;       ///< SHARD_XCHG blocks accepted
@@ -169,7 +179,9 @@ class Server {
   /// The bound port (valid after a successful start()).
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
   [[nodiscard]] Counters counters() const;
+  /// Registered plans, and the mapping bytes they hold.
   [[nodiscard]] std::uint64_t plans() const;
+  [[nodiscard]] std::uint64_t plan_bytes() const;
 
  private:
   /// Response-origin tags carried on OutboundFrames so ok/error
@@ -289,7 +301,8 @@ class Server {
   Frame handle_submit_plan(const FrameView& request);
   Frame handle_stats(std::uint64_t request_id);
 
-  /// The registered plan for a wire plan id; empty when unknown.
+  /// The registered plan for a wire plan id (refreshing its LRU
+  /// position); empty when unknown or evicted.
   [[nodiscard]] runtime::PlanHandle find_plan(std::uint64_t plan_id) const;
 
   /// Build the [u64 count | elements] success response shared by
@@ -335,8 +348,16 @@ class Server {
 
   std::atomic<std::uint32_t> active_connections_{0};
 
+  /// The SUBMIT_PLAN registry: plan id -> handle, LRU-ordered under a
+  /// byte budget (Config::max_plan_bytes).
+  struct RegisteredPlan {
+    runtime::PlanHandle plan;
+    std::list<std::uint64_t>::iterator lru_it;
+  };
   mutable std::mutex plans_mutex_;
-  std::unordered_map<std::uint64_t, runtime::PlanHandle> plans_;
+  std::unordered_map<std::uint64_t, RegisteredPlan> plans_;  // guarded by plans_mutex_
+  mutable std::list<std::uint64_t> plans_lru_;  // front = most recently used; plans_mutex_
+  std::uint64_t plan_bytes_ = 0;                // guarded by plans_mutex_
 
   ShardSessionRegistry shard_sessions_;
 
@@ -346,6 +367,7 @@ class Server {
   std::atomic<std::uint64_t> requests_error_{0};
   std::atomic<std::uint64_t> protocol_errors_{0};
   std::atomic<std::uint64_t> plans_registered_{0};
+  std::atomic<std::uint64_t> plans_evicted_{0};
   std::atomic<std::uint64_t> idle_closed_{0};
   std::atomic<std::uint64_t> shard_execs_{0};
   std::atomic<std::uint64_t> shard_blocks_{0};

@@ -67,10 +67,24 @@ void LogHistogram::reset() noexcept {
   max_.store(0, std::memory_order_relaxed);
 }
 
-void ServiceMetrics::record_plan_build(std::uint64_t ns) noexcept {
+void ServiceMetrics::record_plan_build(std::uint64_t ns, core::Strategy chosen) noexcept {
   plan_builds_.fetch_add(1, std::memory_order_relaxed);
   plan_build_ns_total_.fetch_add(ns, std::memory_order_relaxed);
   atomic_max(plan_build_ns_max_, ns);
+  switch (chosen) {
+    case core::Strategy::kScheduled:
+      built_scheduled_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kSDesignated:
+      built_s_designated_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kDDesignated:
+      built_d_designated_.fetch_add(1, std::memory_order_relaxed);
+      break;
+    case core::Strategy::kAuto:
+    case core::Strategy::kMeasured:
+      break;  // a built permuter always holds a resolved strategy
+  }
 }
 
 void ServiceMetrics::record_submit(std::uint64_t queue_depth) noexcept {
@@ -88,6 +102,10 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.plan_builds = plan_builds_.load(std::memory_order_relaxed);
   s.plan_build_ns_total = plan_build_ns_total_.load(std::memory_order_relaxed);
   s.plan_build_ns_max = plan_build_ns_max_.load(std::memory_order_relaxed);
+  s.built_scheduled = built_scheduled_.load(std::memory_order_relaxed);
+  s.built_s_designated = built_s_designated_.load(std::memory_order_relaxed);
+  s.built_d_designated = built_d_designated_.load(std::memory_order_relaxed);
+  s.sweep_calibrations = core::sweep_calibrations();
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
@@ -145,6 +163,9 @@ void ServiceMetrics::reset() {
   plan_builds_.store(0, std::memory_order_relaxed);
   plan_build_ns_total_.store(0, std::memory_order_relaxed);
   plan_build_ns_max_.store(0, std::memory_order_relaxed);
+  built_scheduled_.store(0, std::memory_order_relaxed);
+  built_s_designated_.store(0, std::memory_order_relaxed);
+  built_d_designated_.store(0, std::memory_order_relaxed);
   submitted_.store(0, std::memory_order_relaxed);
   queue_high_water_.store(0, std::memory_order_relaxed);
   completed_.store(0, std::memory_order_relaxed);
@@ -176,6 +197,17 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"plan_builds\":" << plan_builds
      << ",\"plan_build_ns_total\":" << plan_build_ns_total
      << ",\"plan_build_ns_max\":" << plan_build_ns_max << "},"
+     << "\"strategy\":{"
+     << "\"built_scheduled\":" << built_scheduled
+     << ",\"built_s_designated\":" << built_s_designated
+     << ",\"built_d_designated\":" << built_d_designated << ",\"sweep_calibrations\":[";
+  for (std::size_t i = 0; i < sweep_calibrations.size(); ++i) {
+    const core::SweepCalibration& c = sweep_calibrations[i];
+    os << (i == 0 ? "" : ",") << "{\"log2_n\":" << c.log2_n << ",\"elem_bytes\":" << c.elem_bytes
+       << ",\"width\":" << c.width << ",\"sweep_ns\":" << static_cast<std::uint64_t>(c.sweep_ns)
+       << "}";
+  }
+  os << "]},"
      << "\"executor\":{"
      << "\"submitted\":" << submitted << ",\"completed\":" << completed
      << ",\"failed\":" << failed << ",\"queue_high_water\":" << queue_high_water
@@ -236,6 +268,14 @@ util::Table MetricsSnapshot::to_table() const {
   t.add_row({"plan builds", util::format_count(plan_builds)});
   t.add_row({"plan build total", format_ns(plan_build_ns_total)});
   t.add_row({"plan build max", format_ns(plan_build_ns_max)});
+  t.add_row({"plans built scheduled / s-des / d-des",
+             util::format_count(built_scheduled) + " / " + util::format_count(built_s_designated) +
+                 " / " + util::format_count(built_d_designated)});
+  for (const core::SweepCalibration& c : sweep_calibrations) {
+    t.add_row({"sweep calibration 2^" + std::to_string(c.log2_n) + " x " +
+                   std::to_string(c.elem_bytes) + " B",
+               format_ns(static_cast<std::uint64_t>(c.sweep_ns))});
+  }
   t.add_separator();
   t.add_row({"requests submitted", util::format_count(submitted)});
   t.add_row({"requests completed", util::format_count(completed)});
@@ -298,6 +338,11 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("hmm_cache_evictions_total", "Plan-cache evictions.", evictions);
   counter("hmm_cache_bytes_evicted_total", "Bytes reclaimed by eviction.", bytes_evicted);
   counter("hmm_plan_builds_total", "Offline plan compiles.", plan_builds);
+  os << "# HELP hmm_plans_built_total Plans compiled, by the strategy they resolved to.\n"
+     << "# TYPE hmm_plans_built_total counter\n"
+     << "hmm_plans_built_total{strategy=\"scheduled\"} " << built_scheduled << "\n"
+     << "hmm_plans_built_total{strategy=\"s-designated\"} " << built_s_designated << "\n"
+     << "hmm_plans_built_total{strategy=\"d-designated\"} " << built_d_designated << "\n";
   counter("hmm_requests_submitted_total", "Requests admitted to the executor.", submitted);
   counter("hmm_requests_completed_total", "Requests executed successfully.", completed);
   counter("hmm_requests_failed_total", "Requests that executed and failed.", failed);
@@ -346,6 +391,14 @@ std::string MetricsSnapshot::to_prometheus() const {
   }
   gauge("hmm_numa_nodes", "NUMA nodes the runtime places memory and workers across.",
         numa_nodes);
+  os << "# HELP hmm_sweep_calibration_seconds Host five-pass sweep time kMeasured compares "
+        "gathers against.\n"
+     << "# TYPE hmm_sweep_calibration_seconds gauge\n";
+  for (const core::SweepCalibration& c : sweep_calibrations) {
+    os << "hmm_sweep_calibration_seconds{log2_n=\"" << c.log2_n << "\",elem_bytes=\""
+       << c.elem_bytes << "\",width=\"" << c.width << "\"} "
+       << util::format_double(c.sweep_ns / 1e9, 9) << "\n";
+  }
   // Per-phase digests as summaries. Quantiles come from the log2
   // histogram (factor-of-two resolution); _sum/_count are exact.
   os << "# HELP hmm_phase_duration_seconds Wall time attributed to each serving phase.\n"

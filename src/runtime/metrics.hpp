@@ -17,7 +17,10 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "core/host_cost.hpp"
+#include "core/strategy.hpp"
 #include "runtime/phase.hpp"
 #include "util/table.hpp"
 
@@ -74,6 +77,13 @@ struct MetricsSnapshot {
   std::uint64_t plan_builds = 0;
   std::uint64_t plan_build_ns_total = 0;
   std::uint64_t plan_build_ns_max = 0;
+  // Strategy choice: plans built per resolved strategy (kMeasured and
+  // kAuto resolve to one of these), and the host sweep calibrations
+  // kMeasured has memoized in this process (core/host_cost.hpp).
+  std::uint64_t built_scheduled = 0;
+  std::uint64_t built_s_designated = 0;
+  std::uint64_t built_d_designated = 0;
+  std::vector<core::SweepCalibration> sweep_calibrations;
   // Executor. `completed` and `failed` are disjoint: a request counts
   // in exactly one of them (completed = executed and succeeded), so
   // completed + failed = requests that ran to an outcome.
@@ -166,7 +176,8 @@ class ServiceMetrics {
     bytes_evicted_.fetch_add(bytes, std::memory_order_relaxed);
   }
 
-  void record_plan_build(std::uint64_t ns) noexcept;
+  /// One plan compiled in `ns`, resolved to `chosen`.
+  void record_plan_build(std::uint64_t ns, core::Strategy chosen) noexcept;
 
   void record_submit(std::uint64_t queue_depth) noexcept;
 
@@ -248,6 +259,9 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> plan_builds_{0};
   std::atomic<std::uint64_t> plan_build_ns_total_{0};
   std::atomic<std::uint64_t> plan_build_ns_max_{0};
+  std::atomic<std::uint64_t> built_scheduled_{0};
+  std::atomic<std::uint64_t> built_s_designated_{0};
+  std::atomic<std::uint64_t> built_d_designated_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> queue_high_water_{0};
   std::atomic<std::uint64_t> completed_{0};

@@ -60,7 +60,9 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Get-or-compile the permuter for (plan, machine, strategy, T). Hits
+  /// Get-or-compile the permuter for (plan, machine, strategy, T). The
+  /// default strategy, kMeasured, times the gather against the host's
+  /// sweep and builds the scheduled plan only when it is faster. Hits
   /// return in O(1) without touching the offline phase or the words
   /// (the key mixes the handle's fingerprint); misses compile outside
   /// the cache lock. Throws whatever the build throws (and the failed
@@ -74,7 +76,7 @@ class PlanCache {
   std::shared_ptr<const core::OfflinePermuter<T>> acquire(
       const PlanHandle& plan,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+      core::Strategy strategy = core::Strategy::kMeasured, PhaseBreakdown* phases = nullptr) {
     util::Stopwatch lookup_clock;
     const Fingerprint fp = typed_key<T>(plan.fingerprint(), machine, strategy);
     std::promise<std::shared_ptr<EntryBase>> promise;
@@ -114,7 +116,7 @@ class PlanCache {
         std::rethrow_exception(std::current_exception());
       }
       const auto build_ns = static_cast<std::uint64_t>(clock.nanos());
-      if (metrics_) metrics_->record_plan_build(build_ns);
+      if (metrics_) metrics_->record_plan_build(build_ns, entry->permuter->strategy());
       if (phases) phases->add(Phase::kPlanBuild, build_ns);
       commit(fp.value, my_generation, entry, entry->permuter->compiled_bytes());
       promise.set_value(entry);
@@ -146,7 +148,7 @@ class PlanCache {
   std::shared_ptr<const core::OfflinePermuter<T>> acquire(
       const perm::Permutation& p,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+      core::Strategy strategy = core::Strategy::kMeasured, PhaseBreakdown* phases = nullptr) {
     return acquire<T>(hash_timed(p, phases), machine, strategy, phases);
   }
 
@@ -161,7 +163,7 @@ class PlanCache {
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> try_acquire(
       const PlanHandle& plan,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+      core::Strategy strategy = core::Strategy::kMeasured, PhaseBreakdown* phases = nullptr) {
     try {
       return acquire<T>(plan, machine, strategy, phases);
     } catch (const FaultInjectedError& e) {
@@ -178,7 +180,7 @@ class PlanCache {
   StatusOr<std::shared_ptr<const core::OfflinePermuter<T>>> try_acquire(
       const perm::Permutation& p,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto, PhaseBreakdown* phases = nullptr) {
+      core::Strategy strategy = core::Strategy::kMeasured, PhaseBreakdown* phases = nullptr) {
     return try_acquire<T>(hash_timed(p, phases), machine, strategy, phases);
   }
 
@@ -189,7 +191,7 @@ class PlanCache {
   [[nodiscard]] static Fingerprint plan_key(
       const PlanHandle& plan,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto) {
+      core::Strategy strategy = core::Strategy::kMeasured) {
     return typed_key<T>(plan.fingerprint(), machine, strategy);
   }
 
@@ -198,7 +200,7 @@ class PlanCache {
   [[nodiscard]] static Fingerprint plan_key(
       const perm::Permutation& p,
       const model::MachineParams& machine = model::MachineParams::gtx680(),
-      core::Strategy strategy = core::Strategy::kAuto) {
+      core::Strategy strategy = core::Strategy::kMeasured) {
     return plan_key<T>(PlanHandle::borrow(p), machine, strategy);
   }
 

@@ -10,8 +10,10 @@
 /// rounds. The service exploits exactly that structure as a
 /// degradation ladder:
 ///
-///   1. **Scheduled / cached** — PlanCache hit or successful build;
-///      the optimal path.
+///   1. **Cached** — PlanCache hit or successful build of the
+///      strategy the request resolves to (by default `kMeasured`: the
+///      scheduled plan or the S-designated gather, whichever this host
+///      runs faster); the optimal path.
 ///   2. **Retry** — transient build failures (kPlanBuildFailed,
 ///      kUnavailable, kResourceExhausted) are retried up to
 ///      `max_build_retries` times with deterministic jittered
@@ -30,6 +32,7 @@
 /// validates the request, resolves the ladder, and hands the request
 /// to the executor with its deadline and cancel token attached.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -59,11 +62,12 @@
 namespace hmm::runtime {
 
 /// Per-request controls. Defaults: no deadline, not cancellable, let
-/// the permuter pick its strategy.
+/// the permuter pick its strategy by timing both candidates on this
+/// host (`kMeasured`).
 struct RequestOptions {
   std::chrono::steady_clock::time_point deadline = Executor::kNoDeadline;
   CancelToken cancel;
-  core::Strategy strategy = core::Strategy::kAuto;
+  core::Strategy strategy = core::Strategy::kMeasured;
   /// Correlation id echoed in the slow-request log (the net server
   /// forwards the HMMP request_id). 0 = unnamed.
   std::uint64_t trace_id = 0;
@@ -89,9 +93,11 @@ class RobustPermuteService {
     /// Additional attempts after the first failed plan build (0 = fail
     /// straight through to the fallback / the caller).
     int max_build_retries = 2;
-    /// Backoff before retry k is `base << k` plus a deterministic
-    /// jitter of up to the same amount (seeded: chaos runs replay).
+    /// Backoff before retry k is `base << k`, capped at
+    /// `retry_backoff_cap`, plus a deterministic jitter of up to the
+    /// same amount (seeded: chaos runs replay).
     std::chrono::microseconds retry_backoff_base{200};
+    std::chrono::microseconds retry_backoff_cap{100'000};
     std::uint64_t retry_jitter_seed = 0x5eed5eed5eed5eedull;
     /// Serve via the conventional D-designated permuter when the
     /// scheduled plan is unavailable. Off = surface the build error.
@@ -258,14 +264,19 @@ class RobustPermuteService {
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
   /// The (deterministic) pause before plan-build retry `attempt`
-  /// (0-based): base * 2^attempt plus jitter in [0, base * 2^attempt)
-  /// so synchronized failures fan out. Exposed so tests can pin the
-  /// schedule.
+  /// (0-based): d = min(base * 2^attempt, cap) plus jitter in [0, d)
+  /// so synchronized failures fan out. The doublings stop at 20, as the
+  /// client's and router's do, so no attempt count shifts past the
+  /// word. Exposed so tests can pin the schedule.
   [[nodiscard]] static std::chrono::microseconds backoff_with_jitter(const Config& config,
                                                                      int attempt) noexcept {
+    const auto base_us = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, config.retry_backoff_base.count()));
+    const auto cap_us = static_cast<std::uint64_t>(
+        std::max<std::int64_t>(0, config.retry_backoff_cap.count()));
     return std::chrono::microseconds(util::jittered_backoff_us(
-        static_cast<std::uint64_t>(config.retry_backoff_base.count()), UINT64_MAX, attempt,
-        config.retry_jitter_seed, static_cast<std::uint64_t>(attempt) + 1));
+        base_us, cap_us, std::clamp(attempt, 0, 20), config.retry_jitter_seed,
+        static_cast<std::uint64_t>(attempt) + 1));
   }
 
   void wait_idle() { executor_.wait_idle(); }

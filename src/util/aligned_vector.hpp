@@ -14,12 +14,40 @@
 /// floor keeps the aligned fast path on every buffer that flows
 /// through `aligned_vector` or the `BufferPool` (whose
 /// `kBufferAlignment` shares the same 128-byte boundary).
+///
+/// Blocks of `kDirectMapBytes` or more are mapped and unmapped straight
+/// from the kernel (page-aligned, so the 128-byte guarantee holds). A
+/// plan, inverse or scratch array freed by a churning plan cache then
+/// returns its pages to the OS at once; through malloc, glibc's dynamic
+/// mmap threshold rises after the first such free and the arenas keep
+/// every later block of that size resident. Under AddressSanitizer all
+/// blocks stay on `operator new`, so its redzones keep guarding the
+/// kernels' tail loads and stores.
 
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <vector>
 
 namespace hmm::util {
+
+/// Smallest block the allocator maps directly (see the file comment).
+inline constexpr std::size_t kDirectMapBytes = std::size_t{128} << 10;
+
+namespace detail {
+
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kDirectMap = false;
+#else
+inline constexpr bool kDirectMap = true;
+#endif
+
+/// Anonymous private pages for `bytes` (throws std::bad_alloc).
+void* map_pages(std::size_t bytes);
+/// Return pages from `map_pages` to the kernel.
+void unmap_pages(void* p, std::size_t bytes) noexcept;
+
+}  // namespace detail
 
 /// Minimal over-aligned allocator.
 template <class T, std::size_t Align = 128>
@@ -41,9 +69,21 @@ struct AlignedAllocator {
   AlignedAllocator(const AlignedAllocator<U, Align>&) noexcept {}  // NOLINT
 
   T* allocate(std::size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), alignment));
+    if (n > static_cast<std::size_t>(-1) / sizeof(T)) throw std::bad_array_new_length();
+    const std::size_t bytes = n * sizeof(T);
+    if (detail::kDirectMap && bytes >= kDirectMapBytes) {
+      return static_cast<T*>(detail::map_pages(bytes));
+    }
+    return static_cast<T*>(::operator new(bytes, alignment));
   }
-  void deallocate(T* p, std::size_t) noexcept { ::operator delete(p, alignment); }
+  void deallocate(T* p, std::size_t n) noexcept {
+    const std::size_t bytes = n * sizeof(T);
+    if (detail::kDirectMap && bytes >= kDirectMapBytes) {
+      detail::unmap_pages(p, bytes);
+      return;
+    }
+    ::operator delete(p, alignment);
+  }
 
   template <class U>
   bool operator==(const AlignedAllocator<U, Align>&) const noexcept {

@@ -516,6 +516,78 @@ TEST(NetLoopback, ResubmittingAPlanDeduplicates) {
   EXPECT_EQ(loop.server.plans(), 1u);
 }
 
+/// PERMUTE `p` through `client` as plan `id`; true iff it succeeded
+/// and matches the local apply. `why` receives a failure's status.
+bool permute_matches(net::Client& client, std::uint64_t id, const perm::Permutation& p,
+                     Status* why = nullptr) {
+  const std::uint64_t n = p.size();
+  std::vector<std::uint32_t> a(n), b(n, 0), want(n);
+  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(i * 7 + 3);
+  p.apply<std::uint32_t>({a.data(), n}, {want.data(), n});
+  const Status s = client.permute(id, {a.data(), n}, {b.data(), n});
+  if (why != nullptr) *why = s;
+  return s.is_ok() && b == want;
+}
+
+TEST(NetRegistry, RecentlyUsedPlanSurvivesEvictionAndAnIdleOneDoesNot) {
+  const std::uint64_t n = 1024;  // 4 KiB of mapping per plan
+  net::Server::Config server_config;
+  server_config.max_plan_bytes = 2 * n * net::kElemBytes;  // room for two plans
+  Loopback loop(runtime::RobustPermuteService::Config{}, server_config);
+  net::Client client(loop.client_config());
+  const perm::Permutation hot = perm::by_name("random", n, 1);
+  const perm::Permutation idle = perm::by_name("random", n, 2);
+  const perm::Permutation fresh = perm::by_name("random", n, 3);
+
+  auto hot_id = client.submit_plan(hot);
+  auto idle_id = client.submit_plan(idle);
+  ASSERT_TRUE(hot_id.ok() && idle_id.ok());
+  ASSERT_TRUE(permute_matches(client, hot_id.value(), hot));  // `hot` is now the newest use
+  auto fresh_id = client.submit_plan(fresh);
+  ASSERT_TRUE(fresh_id.ok());
+
+  EXPECT_EQ(loop.server.plans(), 2u);
+  EXPECT_EQ(loop.server.plan_bytes(), 2 * n * net::kElemBytes);
+  EXPECT_EQ(loop.server.counters().plans_evicted, 1u);
+  EXPECT_TRUE(permute_matches(client, hot_id.value(), hot));
+  EXPECT_TRUE(permute_matches(client, fresh_id.value(), fresh));
+  Status evicted;
+  EXPECT_FALSE(permute_matches(client, idle_id.value(), idle, &evicted));
+  EXPECT_EQ(evicted.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(evicted.message().find("unknown plan id"), std::string::npos) << evicted.to_string();
+
+  // Re-submitting heals it (and evicts the now-coldest plan).
+  ASSERT_TRUE(client.submit_plan(idle).ok());
+  EXPECT_TRUE(permute_matches(client, idle_id.value(), idle));
+  EXPECT_EQ(loop.server.counters().plans_evicted, 2u);
+
+  auto stats = client.stats_json();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats.value().find("\"plans_evicted\":2"), std::string::npos) << stats.value();
+}
+
+TEST(NetRegistry, APlanAloneOverBudgetIsKept) {
+  const std::uint64_t n = 1024;
+  net::Server::Config server_config;
+  server_config.max_plan_bytes = 16;  // smaller than any plan
+  Loopback loop(runtime::RobustPermuteService::Config{}, server_config);
+  net::Client client(loop.client_config());
+  const perm::Permutation first = perm::by_name("random", n, 4);
+  const perm::Permutation second = perm::by_name("bit-reversal", n, 1);
+
+  auto first_id = client.submit_plan(first);
+  ASSERT_TRUE(first_id.ok());
+  EXPECT_EQ(loop.server.plans(), 1u);
+  EXPECT_TRUE(permute_matches(client, first_id.value(), first));
+
+  auto second_id = client.submit_plan(second);
+  ASSERT_TRUE(second_id.ok());
+  EXPECT_EQ(loop.server.plans(), 1u);
+  EXPECT_EQ(loop.server.counters().plans_evicted, 1u);
+  EXPECT_TRUE(permute_matches(client, second_id.value(), second));
+  EXPECT_FALSE(permute_matches(client, first_id.value(), first));
+}
+
 TEST(NetLoopback, UnknownPlanIsInvalidArgument) {
   Loopback loop;
   net::Client client(loop.client_config());
@@ -598,6 +670,34 @@ TEST(NetLoopback, StatsReturnsMetricsJson) {
   EXPECT_NE(stats.value().find("\"cache\""), std::string::npos);
   EXPECT_NE(stats.value().find("\"executor\""), std::string::npos);
   EXPECT_NE(stats.value().find("\"phases\""), std::string::npos);
+}
+
+TEST(NetLoopback, StatsReportStrategyChoicesAndSweepCalibrations) {
+  net::Server::Config server_config;
+  server_config.strategy = core::Strategy::kScheduled;
+  Loopback loop(runtime::RobustPermuteService::Config{}, server_config);
+  net::Client client(loop.client_config());
+  const perm::Permutation p = perm::by_name("random", 4096, 12);
+  auto id = client.submit_plan(p);
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(permute_matches(client, id.value(), p));
+  // A measured build files the host's sweep calibration for 2^12 x u32.
+  (void)core::OfflinePermuter<std::uint32_t>(p);
+
+  auto stats = client.stats_json();
+  ASSERT_TRUE(stats.ok()) << stats.status().to_string();
+  const std::string& json = stats.value();
+  EXPECT_NE(json.find("\"built_scheduled\":1"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"built_s_designated\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("{\"log2_n\":12,\"elem_bytes\":4,\"width\":32,\"sweep_ns\":"),
+            std::string::npos)
+      << json;
+
+  const std::string prom = loop.service.metrics().snapshot().to_prometheus();
+  EXPECT_NE(prom.find("hmm_plans_built_total{strategy=\"scheduled\"} 1"), std::string::npos);
+  EXPECT_NE(prom.find("hmm_sweep_calibration_seconds{log2_n=\"12\",elem_bytes=\"4\",width=\"32\"}"),
+            std::string::npos)
+      << prom;
 }
 
 TEST(NetLoopback, DeadlineExceededSurfacesTyped) {
@@ -1312,7 +1412,9 @@ TEST(NetLoopback, BatchedServerMatchesLocalApplyAndExecutesBatches) {
   runtime::RobustPermuteService::Config config;
   config.executor.batch.max_batch = 4;
   config.executor.batch.max_delay = std::chrono::milliseconds(500);
-  Loopback loop(config);
+  net::Server::Config server_config;
+  server_config.strategy = core::Strategy::kScheduled;  // only scheduled plans batch
+  Loopback loop(config, server_config);
   const perm::Permutation p = perm::bit_reversal(n);
 
   std::uint64_t plan_id = 0;
@@ -1929,6 +2031,35 @@ TEST(JitteredBackoff, SchedulesArePinned) {
               service_us[attempt])
         << "service attempt " << attempt;
   }
+
+  // Attempts 0-70: each delay is d + jitter with d = min(base << k, cap)
+  // and jitter < d, so the schedule never decreases while d is still
+  // doubling, and once d reaches the cap every delay stays in
+  // [cap, 2 cap) — no attempt count overflows the shift.
+  const auto check = [](const char* who, std::int64_t cap_us, const auto& delay_us) {
+    bool capped = false;
+    std::int64_t prev = 0;
+    for (int attempt = 0; attempt <= 70; ++attempt) {
+      const std::int64_t d = delay_us(attempt);
+      EXPECT_GE(d, 0) << who << " attempt " << attempt;
+      EXPECT_LT(d, 2 * cap_us) << who << " attempt " << attempt;
+      if (!capped) {
+        EXPECT_GE(d, prev) << who << " attempt " << attempt;
+        capped = d >= cap_us;
+      } else {
+        EXPECT_GE(d, cap_us) << who << " attempt " << attempt;
+      }
+      prev = d;
+    }
+    EXPECT_TRUE(capped) << who << " never reached its cap";
+  };
+  check("client", std::chrono::microseconds(client.retry_backoff_cap).count(),
+        [&](int attempt) { return net::Client::retry_backoff(client, attempt).count(); });
+  check("router", std::chrono::microseconds(router.failover_backoff_cap).count(),
+        [&](int attempt) { return net::Router::failover_pause(router, attempt, 0x1234).count(); });
+  check("service", service.retry_backoff_cap.count(), [&](int attempt) {
+    return runtime::RobustPermuteService::backoff_with_jitter(service, attempt).count();
+  });
 }
 
 }  // namespace

@@ -233,6 +233,21 @@ struct BlockedExecutor {
   bool released = false;
 };
 
+runtime::Executor::SubmitOptions submit_options(std::chrono::steady_clock::time_point deadline,
+                                                runtime::CancelToken cancel = {}) {
+  runtime::Executor::SubmitOptions opts;
+  opts.deadline = deadline;
+  opts.cancel = std::move(cancel);
+  return opts;
+}
+
+runtime::Executor::Config one_in_flight(runtime::Executor::Admission admission) {
+  runtime::Executor::Config config;
+  config.max_in_flight = 1;
+  config.admission = admission;
+  return config;
+}
+
 std::shared_ptr<const core::OfflinePermuter<float>> make_permuter(std::uint64_t n) {
   return std::make_shared<const core::OfflinePermuter<float>>(perm::bit_reversal(n));
 }
@@ -247,7 +262,7 @@ TEST(ExecutorRobust, CancelledWhileQueuedNeverExecutes) {
   runtime::CancelSource cancel;
   auto submitted = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {runtime::Executor::kNoDeadline, cancel.token()});
+      submit_options(runtime::Executor::kNoDeadline, cancel.token()));
   ASSERT_TRUE(submitted.ok());
   cancel.request_cancel();  // request is still queued behind the blocker
   ctx.release_worker();
@@ -272,7 +287,7 @@ TEST(ExecutorRobust, DeadlineExpiredInQueueRejectsWithoutExecuting) {
 
   auto submitted = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {std::chrono::steady_clock::now() + 20ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() + 20ms));
   ASSERT_TRUE(submitted.ok());
   std::this_thread::sleep_for(60ms);  // let the deadline pass while queued
   ctx.release_worker();
@@ -296,7 +311,7 @@ TEST(ExecutorRobust, PreExpiredDeadlineIsRefusedSynchronously) {
 
   auto submitted = executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b.data(), n),
-      {std::chrono::steady_clock::now() - 1ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() - 1ms));
   ASSERT_FALSE(submitted.ok());
   EXPECT_EQ(submitted.status().code(), StatusCode::kDeadlineExceeded);
   const runtime::MetricsSnapshot snap = metrics.snapshot();
@@ -340,7 +355,7 @@ TEST(ExecutorRobust, InvalidRequestsAreRefusedTyped) {
 }
 
 TEST(ExecutorRobust, AdmissionRejectFailsFastAtTheBound) {
-  BlockedExecutor ctx({.max_in_flight = 1, .admission = runtime::Executor::Admission::kReject});
+  BlockedExecutor ctx(one_in_flight(runtime::Executor::Admission::kReject));
   const std::uint64_t n = 1024;
   auto h = make_permuter(n);
   const auto a = test::iota_data<float>(n);
@@ -363,7 +378,7 @@ TEST(ExecutorRobust, AdmissionRejectFailsFastAtTheBound) {
 }
 
 TEST(ExecutorRobust, AdmissionBlockHonorsTheDeadline) {
-  BlockedExecutor ctx({.max_in_flight = 1, .admission = runtime::Executor::Admission::kBlock});
+  BlockedExecutor ctx(one_in_flight(runtime::Executor::Admission::kBlock));
   const std::uint64_t n = 1024;
   auto h = make_permuter(n);
   const auto a = test::iota_data<float>(n);
@@ -375,7 +390,7 @@ TEST(ExecutorRobust, AdmissionBlockHonorsTheDeadline) {
   // The slot is held; blocking admission must give up at the deadline.
   auto second = ctx.executor.try_submit<float>(
       h, std::span<const float>(a.data(), n), std::span<float>(b2.data(), n),
-      {std::chrono::steady_clock::now() + 50ms, runtime::CancelToken{}});
+      submit_options(std::chrono::steady_clock::now() + 50ms));
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kDeadlineExceeded);
 

@@ -46,12 +46,14 @@ struct Backend {
   std::unique_ptr<net::Server> server;
   std::uint16_t port = 0;
 
-  void start(std::uint16_t fixed_port = 0) {
+  void start(std::uint16_t fixed_port = 0,
+             std::uint64_t max_plan_bytes = net::Server::Config{}.max_plan_bytes) {
     service = std::make_unique<runtime::RobustPermuteService>(
         util::ThreadPool::global(), runtime::RobustPermuteService::Config{});
     net::Server::Config config;
     config.port = fixed_port;
     config.poll_interval = 10ms;
+    config.max_plan_bytes = max_plan_bytes;
     server = std::make_unique<net::Server>(*service, config);
     const Status started = server->start();
     ASSERT_TRUE(started.is_ok()) << started.to_string();
@@ -304,6 +306,47 @@ TEST(RouterFailover, QuietRestartIsHealedByLazyPlanResync) {
   ASSERT_TRUE(s.is_ok()) << "lazy resync did not heal the restart: " << s.to_string();
   EXPECT_EQ(b, expect);
   EXPECT_GE(fleet.router->snapshot().plan_resyncs, 1u);
+}
+
+TEST(RouterFailover, PlanEvictedFromABackendRegistryIsResyncedAndServed) {
+  // The backend's registry holds one plan, so registering a second
+  // evicts the first; a forwarded PERMUTE of the evicted plan draws
+  // "unknown plan id", which the router heals by push-and-retry.
+  const std::uint64_t n = 1024;
+  Backend backend;
+  backend.start(0, n * net::kElemBytes);
+  net::Router::Config config;
+  config.backends.push_back(net::BackendAddress{"127.0.0.1", backend.port});
+  config.probe_interval = 60'000ms;
+  config.eject_after = 1'000'000;
+  config.connect_timeout = 500ms;
+  config.io_timeout = 5'000ms;
+  config.poll_interval = 10ms;
+  net::Router router(std::move(config));
+  ASSERT_TRUE(router.start().is_ok());
+  net::Client::Config cc;
+  cc.host = "127.0.0.1";
+  cc.port = router.port();
+  cc.io_timeout = 10'000ms;
+  net::Client client(cc);
+
+  const perm::Permutation first = perm::by_name("random", n, 1);
+  const perm::Permutation second = perm::by_name("random", n, 2);
+  auto first_id = client.submit_plan(first);
+  auto second_id = client.submit_plan(second);
+  ASSERT_TRUE(first_id.ok() && second_id.ok());
+  ASSERT_EQ(backend.server->counters().plans_evicted, 1u);
+
+  std::vector<std::uint32_t> a(n), b(n, 0), expect(n);
+  for (std::uint64_t i = 0; i < n; ++i) a[i] = static_cast<std::uint32_t>(5 * i + 2);
+  first.apply<std::uint32_t>({a.data(), n}, {expect.data(), n});
+  const Status s = client.permute(first_id.value(), {a.data(), n}, {b.data(), n});
+  ASSERT_TRUE(s.is_ok()) << "the resync did not heal the eviction: " << s.to_string();
+  EXPECT_EQ(b, expect);
+  EXPECT_EQ(router.snapshot().plan_resyncs, 1u);
+
+  router.stop();
+  backend.stop();
 }
 
 // ------------------------------------------------------------- breaker

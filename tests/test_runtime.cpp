@@ -302,7 +302,7 @@ TEST(PlanHandle, RawAndHandleAcquireShareOneEntryAndOneBuild) {
 
   // A handle lookup charges plan_lookup; only the raw overload hashes.
   runtime::PhaseBreakdown phases;
-  (void)cache.acquire<float>(h, MachineParams::gtx680(), core::Strategy::kAuto, &phases);
+  (void)cache.acquire<float>(h, MachineParams::gtx680(), core::Strategy::kMeasured, &phases);
   EXPECT_TRUE(phases.touched(runtime::Phase::kPlanLookup));
   EXPECT_FALSE(phases.touched(runtime::Phase::kPlanBuild));
 }
@@ -665,7 +665,7 @@ TEST(Metrics, JsonAndTableRender) {
   runtime::ServiceMetrics metrics;
   metrics.record_lookup(true);
   metrics.record_lookup(false);
-  metrics.record_plan_build(1234567);
+  metrics.record_plan_build(1234567, core::Strategy::kScheduled);
   metrics.record_submit(3);
   metrics.record_execute(42000, true);
 

@@ -183,7 +183,7 @@ void run_transpose_differential(KernelVariant variant) {
   util::ThreadPool pool(2);
   const std::pair<std::uint64_t, std::uint64_t> shapes[] = {
       {7, 13}, {32, 32}, {100, 52}, {1, 128}, {128, 1}, {64, 16}, {33, 17}};
-  for (const auto [rows, cols] : shapes) {
+  for (const auto& [rows, cols] : shapes) {
     for (const std::uint64_t tile : {1ull, 5ull, 16ull, 32ull}) {
       const std::uint64_t n = rows * cols;
       const auto in = random_bits<T>(n, rows * 31 + cols * 7 + tile);
@@ -290,8 +290,8 @@ TEST_P(SimdVariantTest, GatherScatterBitIdenticalDouble) {
 
 INSTANTIATE_TEST_SUITE_P(SimdKernels, SimdVariantTest,
                          ::testing::Values(KernelVariant::kAvx2, KernelVariant::kAvx512),
-                         [](const ::testing::TestParamInfo<KernelVariant>& info) {
-                           return std::string(to_string(info.param));
+                         [](const ::testing::TestParamInfo<KernelVariant>& param_info) {
+                           return std::string(to_string(param_info.param));
                          });
 
 // ---- the fork/join grain ---------------------------------------------

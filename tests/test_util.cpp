@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <fstream>
+#include <memory>
 #include <future>
 #include <new>
 #include <set>
@@ -125,6 +129,42 @@ TEST(AlignedVector, Alignment) {
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 128, 0u);
   aligned_vector<double> w(3);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % 128, 0u);
+}
+
+/// Resident set size of this process, from /proc/self/statm.
+std::uint64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t size_pages = 0, resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(AlignedVector, LargeBlocksAreAlignedAndReturnedToTheOs) {
+  constexpr std::size_t kBlock = 256 << 10;
+  constexpr std::size_t kTotal = 256 << 20;
+  static_assert(kBlock >= kDirectMapBytes);
+  // One churned block first: through malloc, its free would raise
+  // glibc's dynamic mmap threshold so later blocks land in the arena.
+  { aligned_vector<std::uint8_t> warm(kBlock); }
+  // Small allocations that outlive the blocks, interleaved with them,
+  // as a serving process's other state is: an arena could not trim
+  // the holes the freed blocks leave between them.
+  std::vector<std::unique_ptr<std::uint64_t>> pins;
+  const std::uint64_t baseline = resident_bytes();
+  {
+    std::vector<aligned_vector<std::uint8_t>> blocks;
+    for (std::size_t i = 0; i < kTotal / kBlock; ++i) {
+      blocks.emplace_back(kBlock, std::uint8_t{0xa5});
+      ASSERT_EQ(reinterpret_cast<std::uintptr_t>(blocks.back().data()) % 128, 0u) << i;
+      pins.push_back(std::make_unique<std::uint64_t>(i));
+    }
+    EXPECT_GE(resident_bytes(), baseline + kTotal / 2);
+    if (!detail::kDirectMap) {
+      GTEST_SKIP() << "AddressSanitizer build: large blocks stay on operator new";
+    }
+  }
+  EXPECT_LT(resident_bytes(), baseline + kTotal / 8)
+      << "freed blocks stayed resident (baseline " << baseline << " bytes)";
 }
 
 TEST(Table, RendersAllRows) {

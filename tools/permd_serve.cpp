@@ -23,8 +23,15 @@
 ///               [--metrics-json <path>] [--json]
 ///               [--prom-file <path>] [--slow-ms 0]
 ///               [--batch-max 1] [--batch-delay-us 200]
+///               [--strategy measured]
 ///               [--fault-rate 0.0] [--fault-seed 1]
 ///               [--fault-sites plan_cache.build] [--fault-stall-ms 50]
+///
+/// `--strategy` picks how PERMUTE and EXECUTE_PROGRAM plans run:
+/// `measured` (default) times the gather against the host's five-pass
+/// sweep per plan; `scheduled`, `s-designated`, `d-designated` force
+/// one algorithm; `auto` applies the paper's HMM cost model. Only
+/// scheduled plans batch and report the five kernel phases.
 ///
 /// `--io-threads N` sets the number of epoll reactor threads that own
 /// the connections (nonblocking frame assembly + response flushing);
@@ -51,6 +58,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -82,14 +90,21 @@ int main(int argc, char** argv) {
                          "io-timeout-ms",
                          "idle-timeout-ms", "shard-exchange-timeout-ms", "duration-s",
                          "metrics-json", "json", "prom-file", "slow-ms", "batch-max",
-                         "batch-delay-us", "fault-rate", "fault-seed", "fault-sites",
-                         "fault-stall-ms"},
+                         "batch-delay-us", "strategy", "fault-rate", "fault-seed",
+                         "fault-sites", "fault-stall-ms"},
                         std::cerr)) {
     return 2;
   }
   const std::string host = cli.get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(cli.get_int("port", 0));
   const std::string port_file = cli.get("port-file");
+  const std::optional<core::Strategy> strategy =
+      core::parse_strategy(cli.get("strategy", "measured"));
+  if (!strategy) {
+    std::cerr << "permd_serve: --strategy must be one of measured, auto, scheduled, "
+                 "s-designated, d-designated\n";
+    return 2;
+  }
   const std::uint64_t cache_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-mb", 64)) << 20;
   const std::uint64_t max_in_flight =
@@ -156,6 +171,7 @@ int main(int argc, char** argv) {
   server_config.handler_threads = handler_threads;
   server_config.io_timeout = std::chrono::milliseconds(io_timeout_ms);
   server_config.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
+  server_config.strategy = *strategy;
   server_config.shard_exchange_timeout =
       std::chrono::milliseconds(cli.get_int("shard-exchange-timeout-ms", 10'000));
   net::Server server(service, server_config);
@@ -166,7 +182,8 @@ int main(int argc, char** argv) {
   }
   std::cout << "permd_serve: listening on " << host << ":" << server.port() << "  (io="
             << io_threads << " reactors, pool=" << pool.size()
-            << " threads, cache=" << util::format_bytes(cache_bytes);
+            << " threads, cache=" << util::format_bytes(cache_bytes)
+            << ", strategy=" << core::to_string(*strategy);
   if (batch_max > 1) {
     std::cout << ", batching max=" << batch_max << " delay=" << batch_delay_us << "us";
   }
