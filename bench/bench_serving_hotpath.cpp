@@ -1,42 +1,36 @@
 /// \file bench_serving_hotpath.cpp
 /// \brief Serving-path benchmark: loopback client-observed latency and
-///        throughput with the hot-path machinery off vs on — buffer
-///        pool reuse (allocations/request via pool counters) and
-///        same-plan request batching (fused kernel sweeps).
+///        throughput, buffer-pool reuse (allocations/request via pool
+///        counters), and the fused multi-lane kernel sweep.
 ///
-/// Two runs over the same wire and the same hot plan:
-///
-///   unbatched  batch.max_batch = 1 (the executor's default path)
-///   batched    batch.max_batch = B, gather window = D microseconds
-///
-/// Each run drives C concurrent connections through a real net::Server
-/// (epoll reactor, HMMP frames, checksums — nothing mocked) and
-/// reports client-side p50/p99/throughput plus the server's own
-/// counters: fused batches executed, mean batch size, and buffer-pool
+/// The `wire` row drives C concurrent connections through a real
+/// net::Server (epoll reactor, HMMP frames, checksums — nothing
+/// mocked) and reports client-side p50/p99/throughput plus buffer-pool
 /// misses per request (the steady-state allocation rate; ~0 means the
 /// pool is absorbing every per-request buffer).
 ///
-/// The `sweep-seq-<variant>` / `sweep-fused-<variant>` rows re-run the
+/// The `sweep-*` rows compare L sequential single-lane five-pass sweeps
+/// with one fused L-lane `core::scheduled_cpu_sweep` over the same
+/// plan, in process. The `sweep-seq-<variant>` / `sweep-fused-<variant>` rows re-run the
 /// sweep comparison once per selectable kernel tier (scalar, avx2,
 /// avx512 — whatever this CPU supports), so the committed trajectory
 /// prices the SIMD gather/scatter kernels against the scalar oracle on
 /// the same plan and lanes. Unsupported tiers are skipped, not failed.
 ///
 /// The `srv-epoll-*` rows stress what the reactor specifically buys:
-/// `srv-epoll-cNN` runs the batched wire workload at 4x the connection
-/// count (a wider concurrent window feeds fuller same-plan batches),
-/// and `srv-epoll-idle1k` runs the base batched workload while 1'000
-/// idle connections are parked on the same server — idle connections
-/// cost a map entry, not a thread, so the row should match the plain
-/// wire-batched row (the thread-per-connection design could not open
-/// them at all past its thread budget).
+/// `srv-epoll-cNN` runs the wire workload at 4x the connection count,
+/// and `srv-epoll-idle1k` runs it while 1'000 idle connections are
+/// parked on the same server — idle connections cost a map entry, not
+/// a thread, so the row should match the plain wire row (the
+/// thread-per-connection design could not open them at all past its
+/// thread budget).
 ///
 /// Usage: bench_serving_hotpath [--n 8K] [--connections 8]
 ///                              [--requests 200] [--batch 8]
-///                              [--batch-delay-us 500]
 ///                              [--dist-n 1M] [--dist-shards 4]
 ///                              [--dist-requests 12] [--json]
 ///
+/// `--batch` is the lane count of the fused sweep rows (at least 4).
 /// `--json` appends one JSON object per row (JSON Lines) after the
 /// table — the repo's BENCH_*.json trajectory format
 /// (results/BENCH_serving.json keeps the committed baseline).
@@ -82,8 +76,8 @@ struct RunResult {
   std::uint64_t requests = 0;
   std::uint64_t failures = 0;
   runtime::LogHistogram latency_ns;
-  std::uint64_t batches = 0;
-  std::uint64_t batched_requests = 0;
+  std::uint64_t batches = 0;           // fused sweeps (sweep rows only)
+  std::uint64_t batched_requests = 0;  // lanes those sweeps carried
   std::uint64_t pool_misses = 0;  // delta across the measured window
 };
 
@@ -94,16 +88,10 @@ struct RunResult {
 /// measured window and left parked (never written to) for its whole
 /// duration — the reactor must carry them for free.
 void run_once(const perm::Permutation& p, std::uint64_t n, std::uint64_t connections,
-              std::uint64_t requests_per_conn, std::uint32_t batch_max,
-              std::chrono::microseconds batch_delay, RunResult& result,
+              std::uint64_t requests_per_conn, RunResult& result,
               std::uint64_t idle_conns = 0) {
   auto& pool = util::ThreadPool::global();
-  runtime::RobustPermuteService::Config config;
-  if (batch_max > 1) {
-    config.executor.batch.max_batch = batch_max;
-    config.executor.batch.max_delay = batch_delay;
-  }
-  runtime::RobustPermuteService service(pool, config);
+  runtime::RobustPermuteService service(pool, runtime::RobustPermuteService::Config{});
   net::Server::Config server_config;
   server_config.max_connections =
       static_cast<std::uint32_t>(std::max<std::uint64_t>(256, idle_conns + connections + 16));
@@ -175,8 +163,6 @@ void run_once(const perm::Permutation& p, std::uint64_t n, std::uint64_t connect
   result.requests = connections * requests_per_conn;
   result.failures = failures.load();
   const runtime::MetricsSnapshot after = service.metrics().snapshot();
-  result.batches = after.batches_executed - before.batches_executed;
-  result.batched_requests = after.batched_requests - before.batched_requests;
   result.pool_misses = after.pool_misses - before.pool_misses;
   server.stop();
 }
@@ -432,8 +418,8 @@ void run_distributed_compare(std::uint64_t n, std::uint32_t shard_count,
 
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
-  if (!cli.expect_flags({"n", "connections", "requests", "batch", "batch-delay-us",
-                         "program-depth", "dist-n", "dist-shards", "dist-requests", "json"},
+  if (!cli.expect_flags({"n", "connections", "requests", "batch", "program-depth", "dist-n",
+                         "dist-shards", "dist-requests", "json"},
                         std::cerr)) {
     return 2;
   }
@@ -441,7 +427,6 @@ int main(int argc, char** argv) {
   const std::uint64_t connections = static_cast<std::uint64_t>(cli.get_int("connections", 8));
   const std::uint64_t requests = static_cast<std::uint64_t>(cli.get_int("requests", 200));
   const auto batch_max = static_cast<std::uint32_t>(cli.get_int("batch", 8));
-  const auto batch_delay = std::chrono::microseconds(cli.get_int("batch-delay-us", 500));
   const auto program_depth = static_cast<std::uint64_t>(cli.get_int("program-depth", 4));
   const std::uint64_t dist_n = static_cast<std::uint64_t>(cli.get_int("dist-n", 1 << 20));
   const auto dist_shards = static_cast<std::uint32_t>(cli.get_int("dist-shards", 4));
@@ -459,7 +444,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::print_header("Serving hot path: pooled buffers + same-plan batching",
+  bench::print_header("Serving hot path: pooled buffers + fused sweeps",
                       "loopback HMMP, client-observed");
   net::ignore_sigpipe();
 
@@ -467,7 +452,6 @@ int main(int argc, char** argv) {
 
   util::Table table({"mode", "conns", "reqs", "req/s", "p50 ms", "p99 ms", "miss/req",
                      "batches", "mean batch"});
-  double unbatched_rps = 0, batched_rps = 0;
   const auto add = [&](const char* mode, const RunResult& r,
                        std::uint64_t conns = 0) {
     if (conns == 0) conns = connections;
@@ -491,7 +475,7 @@ int main(int argc, char** argv) {
     return rps;
   };
 
-  RunResult unbatched, batched, sweep_unbatched, sweep_batched;
+  RunResult wire, sweep_unbatched, sweep_batched;
   const std::uint64_t sweep_lanes = std::max<std::uint64_t>(4, batch_max);
   run_sweep(p, n, sweep_lanes, sweep_unbatched, sweep_batched);
   const double sweep_unbatched_rps = add("sweep-unbatched", sweep_unbatched);
@@ -522,22 +506,19 @@ int main(int argc, char** argv) {
     (void)cpu::set_kernel_variant(prev);
   }
 
-  run_once(p, n, connections, requests, 1, batch_delay, unbatched);
-  unbatched_rps = add("wire-unbatched", unbatched);
-  run_once(p, n, connections, requests, batch_max, batch_delay, batched);
-  batched_rps = add("wire-batched", batched);
+  run_once(p, n, connections, requests, wire);
+  add("wire", wire);
 
-  // Reactor-specific rows: a 4x-wide concurrent window (fuller
-  // same-plan batches) and the base batched workload with 1'000 idle
-  // connections parked on the same server.
+  // Reactor-specific rows: a 4x-wide concurrent window and the base
+  // workload with 1'000 idle connections parked on the same server.
   const std::uint64_t wide_conns = connections * 4;
   RunResult epoll_wide, epoll_idle;
-  run_once(p, n, wide_conns, requests, batch_max, batch_delay, epoll_wide);
+  run_once(p, n, wide_conns, requests, epoll_wide);
   const std::string wide_label = "srv-epoll-c" + std::to_string(wide_conns);
   add(wide_label.c_str(), epoll_wide, wide_conns);
   const bool idle_row = raise_fd_limit(4096);
   if (idle_row) {
-    run_once(p, n, connections, requests, batch_max, batch_delay, epoll_idle, 1'000);
+    run_once(p, n, connections, requests, epoll_idle, 1'000);
     add("srv-epoll-idle1k", epoll_idle);
   } else {
     std::cerr << "bench_serving_hotpath: RLIMIT_NOFILE too low for the "
@@ -558,8 +539,7 @@ int main(int argc, char** argv) {
   const double dist_sharded_rps = add(dist_label.c_str(), dist_sharded);
 
   table.print(std::cout);
-  std::cout << "\nwire batched/unbatched: " << util::format_double(batched_rps / unbatched_rps, 2)
-            << "x    fused-sweep speedup: "
+  std::cout << "\nfused-sweep speedup: "
             << util::format_double(sweep_batched_rps / sweep_unbatched_rps, 2)
             << "x at batch " << sweep_lanes;
   if (scalar_fused_rps > 0 && best_simd_fused_rps > 0) {
@@ -572,11 +552,11 @@ int main(int argc, char** argv) {
             << program_depth
             << "\n'sweep' rows compare the fused five-pass kernel sequence against\n"
                "the same lanes swept sequentially — the schedule-read amortization\n"
-               "batching buys. The 'wire' rows carry the full per-request framing,\n"
-               "checksum, and syscall cost, which batching cannot remove (and which\n"
-               "dominates loopback on few-core hosts). 'miss/req' ~ 0 means the\n"
-               "buffer pool absorbs every per-request allocation; 'mean batch' is\n"
-               "requests per fused sweep. The 'chain' rows serve one depth-k\n"
+               "of the paper's batching lemma. The 'wire' row carries the full\n"
+               "per-request framing, checksum, and syscall cost (which dominates\n"
+               "loopback on few-core hosts). 'miss/req' ~ 0 means the buffer pool\n"
+               "absorbs every per-request allocation; 'mean batch' is lanes per\n"
+               "fused sweep. The 'chain' rows serve one depth-k\n"
                "permutation chain per request: k PERMUTE round trips (each feeding\n"
                "the next) vs one EXECUTE_PROGRAM the service fuses into a single\n"
                "composite plan — k kernel sweeps, k wire copies, and k-1 round\n"
@@ -591,9 +571,9 @@ int main(int argc, char** argv) {
                "this prices the exchange overhead (the win is capacity: each shard\n"
                "holds and permutes only its band).\n"
                "'srv-epoll-*' rows are reactor-specific: the cNN row widens the\n"
-               "concurrent window (fuller same-plan batches), the idle1k row parks\n"
-               "1'000 idle connections alongside the batched workload — both were\n"
-               "impossible under thread-per-connection.\n";
+               "concurrent window, the idle1k row parks 1'000 idle connections\n"
+               "alongside the wire workload — both were impossible under\n"
+               "thread-per-connection.\n";
   if (json) {
     std::cout << "\n";
     table.print_json_rows(std::cout, "\"bench\":\"serving_hotpath\"");

@@ -24,8 +24,8 @@
 ///  - the gather's cost depends on the permutation, so it is timed on
 ///    the actual inverse, which S-designated needs anyway.
 ///
-/// The plan is built only when the sweep is strictly faster; a close
-/// call is timed again with both kernels back to back.
+/// The plan is built only when the sweep beats the gather by more than
+/// `kSweepMargin`, so a close call keeps the gather.
 
 #include <algorithm>
 #include <cstddef>
@@ -53,15 +53,24 @@ struct MeasuredCosts {
   double gather_ns = 0;  ///< the S-designated gather of this permutation
 };
 
+/// How much faster than the gather the sweep must time before kMeasured
+/// builds a plan. The two wrong picks cost very different amounts:
+/// picking the sweep wrongly costs a plan build (13 s at 2^22) plus the
+/// difference on every call; picking the gather wrongly costs at most
+/// this margin per call. So the rule leans towards the gather, and a
+/// pick stays within this factor of the faster kernel whenever the
+/// timings are right.
+inline constexpr double kSweepMargin = 1.15;
+
 /// kMeasured's rule. A size the plan does not support gets the gather;
-/// otherwise the sweep must be strictly faster — a tie keeps the gather,
-/// which needs no plan build and no scratch. Never D-designated: the
-/// scatter's casual writes cost what the gather's casual reads do, and
-/// it has no inverse to amortize.
+/// otherwise the sweep must beat it by more than `kSweepMargin` — a
+/// close call or a tie keeps the gather, which needs no plan build and
+/// no scratch. Never D-designated: the scatter's casual writes cost
+/// what the gather's casual reads do, and it has no inverse to amortize.
 [[nodiscard]] constexpr Strategy measured_choice(bool plannable,
                                                  const MeasuredCosts& costs) noexcept {
-  return plannable && costs.sweep_ns < costs.gather_ns ? Strategy::kScheduled
-                                                       : Strategy::kSDesignated;
+  return plannable && costs.sweep_ns * kSweepMargin < costs.gather_ns ? Strategy::kScheduled
+                                                                      : Strategy::kSDesignated;
 }
 
 /// Where kMeasured takes its timings. An empty member means "time it
@@ -178,38 +187,20 @@ double time_gather_ns(util::ThreadPool& pool, const perm::Permutation& inverse) 
   return best_of_three_ns([&] { cpu::gather<T>(pool, ca, b, inverse.data()); });
 }
 
-/// Two timings closer than this factor are a close call (see
-/// `measure_costs`). On a host shared with other tenants one timing
-/// spreads about that much from run to run: the same 2^22 sweep
-/// measured 12.5–21.9 ms on the 4-vCPU reference host.
-inline constexpr double kCloseCall = 1.5;
-
-[[nodiscard]] constexpr bool close_call(const MeasuredCosts& costs) noexcept {
-  return costs.sweep_ns < kCloseCall * costs.gather_ns &&
-         costs.gather_ns < kCloseCall * costs.sweep_ns;
-}
-
 /// Both of kMeasured's timings for a plannable permutation given its
 /// inverse, from `probe` where it injects them and from `pool` where it
-/// does not. The sweep comes from the memo, which was timed under
-/// whatever load the host had then; when that and the fresh gather are
-/// a close call, both are timed again back to back, so a burst of other
-/// work during one of them cannot flip the decision (and at 2^22 cost a
-/// 13 s plan build).
+/// does not: the memoized host sweep and a fresh gather of this
+/// permutation.
 template <class T>
 MeasuredCosts measure_costs(util::ThreadPool& pool, const perm::Permutation& inverse,
                             std::uint32_t width, const CostProbe& probe = {}) {
   const std::uint64_t n = inverse.size();
-  const auto gather = [&] {
-    return probe.gather_ns ? probe.gather_ns(n, sizeof(T)) : time_gather_ns<T>(pool, inverse);
+  return {
+      .sweep_ns = probe.sweep_ns ? probe.sweep_ns(util::log2_floor(n), sizeof(T))
+                                 : host_sweep_ns<T>(pool, n, width),
+      .gather_ns = probe.gather_ns ? probe.gather_ns(n, sizeof(T))
+                                   : time_gather_ns<T>(pool, inverse),
   };
-  const auto sweep = [&](bool fresh) {
-    if (probe.sweep_ns) return probe.sweep_ns(util::log2_floor(n), sizeof(T));
-    return fresh ? time_host_sweep_ns<T>(pool, n, width) : host_sweep_ns<T>(pool, n, width);
-  };
-  MeasuredCosts costs{.sweep_ns = sweep(false), .gather_ns = gather()};
-  if (close_call(costs)) costs = {.sweep_ns = sweep(true), .gather_ns = gather()};
-  return costs;
 }
 
 }  // namespace hmm::core

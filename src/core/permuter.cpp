@@ -13,12 +13,4 @@ std::string_view to_string(Strategy s) noexcept {
   return "?";
 }
 
-std::optional<Strategy> parse_strategy(std::string_view name) noexcept {
-  for (const Strategy s : {Strategy::kAuto, Strategy::kScheduled, Strategy::kSDesignated,
-                           Strategy::kDDesignated, Strategy::kMeasured}) {
-    if (to_string(s) == name) return s;
-  }
-  return std::nullopt;
-}
-
 }  // namespace hmm::core

@@ -12,10 +12,11 @@
 ///    the serving path, times both candidates on this host
 ///    (host_cost.hpp): the S-designated gather of this very permutation
 ///    against the host's memoized five-pass sweep time for (n, sizeof(T)),
-///    and builds the plan only when the sweep is strictly faster. On a
-///    CPU the gather wins while the arrays fit the last-level cache —
-///    the host-side image of the paper's Section VIII small-n inversion
-///    (EXPERIMENTS.md, "Measured strategy").
+///    and builds the plan only when the sweep is faster by more than
+///    `kSweepMargin` (1.15x). On a CPU the gather wins while the arrays
+///    fit the last-level cache — the host-side image of the paper's
+///    Section VIII small-n inversion (EXPERIMENTS.md, "Measured
+///    strategy").
 ///  - `kAuto`, the default when a machine is given, mirrors Lemma 4 vs
 ///    Theorem 9: scheduled wins when
 ///      16(n/w + l - 1) + 16 n/(dw)  <  2(n/w + l - 1) + d_w(P) + l - 1,

@@ -3,7 +3,6 @@
 /// \brief `core::Strategy` — which algorithm an `OfflinePermuter` runs,
 ///        or how it chooses one.
 
-#include <optional>
 #include <string_view>
 
 namespace hmm::core {
@@ -20,8 +19,5 @@ enum class Strategy {
 };
 
 std::string_view to_string(Strategy s) noexcept;
-
-/// Inverse of `to_string`; nullopt for an unknown name.
-std::optional<Strategy> parse_strategy(std::string_view name) noexcept;
 
 }  // namespace hmm::core

@@ -712,9 +712,8 @@ OutboundFrame Server::handle_permute(const FrameView& request) {
                                  "PERMUTE: element count does not match the plan size"));
   }
 
-  runtime::RequestOptions options;
-  options.strategy = config_.strategy;
-  return serve_elements(request, MsgKind::kPermuteOk, permute.data, permute.deadline_ms, options,
+  return serve_elements(request, MsgKind::kPermuteOk, permute.data, permute.deadline_ms,
+                        runtime::RequestOptions{},
                         [&](std::span<const std::uint32_t> in, std::span<std::uint32_t> out,
                             const runtime::RequestOptions& opts) {
                           return service_.submit<std::uint32_t>(plan, in, out, opts);
@@ -739,7 +738,6 @@ OutboundFrame Server::handle_program(const FrameView& request) {
   program.ops = program_req.ops;
 
   runtime::ProgramRequestOptions opts;
-  opts.strategy = config_.strategy;
   opts.force_staged = program_req.force_staged();
   // PROGRAM_OK mirrors PERMUTE_OK byte for byte.
   return serve_elements(request, MsgKind::kProgramOk, program_req.data, program_req.deadline_ms,

@@ -85,10 +85,6 @@ class Server {
     /// like any never-registered one: the client re-submits it, and
     /// `Router` does so by itself (push-and-retry).
     std::uint64_t max_plan_bytes = 64ull << 20;
-    /// Strategy of PERMUTE and EXECUTE_PROGRAM requests (SHARD_EXEC
-    /// always runs the scheduled plan's bands). The default times the
-    /// gather against the host's sweep per plan.
-    core::Strategy strategy = core::Strategy::kMeasured;
     /// Connection cap; excess connections get a RETRY_LATER error
     /// frame and a close, never a silent drop.
     std::uint32_t max_connections = 256;

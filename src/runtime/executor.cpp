@@ -62,65 +62,7 @@ Executor::Executor(util::ThreadPool& pool, ServiceMetrics* metrics, Config confi
     : pool_(pool),
       metrics_(metrics),
       config_(config),
-      buffer_pool_(config.pool != nullptr ? config.pool : &util::BufferPool::global()) {
-  if (config_.batch.enabled()) {
-    flusher_ = std::thread([this] { flusher_loop(); });
-  }
-}
-
-void Executor::dispatch_group(std::shared_ptr<BatchGroupBase> group) {
-  try {
-    pool_.submit_task([this, group] { group->run(*this); });
-  } catch (...) {
-    // Enqueue alloc failure: the batch will never run, so resolve every
-    // gathered item now (each still holds an admission slot).
-    group->refuse_all(*this, Status(StatusCode::kUnavailable, "failed to enqueue batch"));
-  }
-}
-
-void Executor::flusher_loop() {
-  std::unique_lock lock(batch_mutex_);
-  for (;;) {
-    if (flusher_stop_ && gathering_.empty()) return;
-    if (gathering_.empty()) {
-      batch_cv_.wait(lock, [this] { return flusher_stop_ || !gathering_.empty(); });
-      continue;
-    }
-    const auto now = std::chrono::steady_clock::now();
-    auto earliest = std::chrono::steady_clock::time_point::max();
-    std::vector<std::shared_ptr<BatchGroupBase>> due;
-    for (auto it = gathering_.begin(); it != gathering_.end();) {
-      // On stop, every remaining group is due: drain-before-join keeps
-      // wait_idle() (and therefore the destructor) from blocking on
-      // items that would otherwise gather forever.
-      if (flusher_stop_ || it->second->flush_at <= now) {
-        due.push_back(std::move(it->second));
-        it = gathering_.erase(it);
-      } else {
-        earliest = std::min(earliest, it->second->flush_at);
-        ++it;
-      }
-    }
-    if (!due.empty()) {
-      lock.unlock();
-      for (auto& group : due) dispatch_group(std::move(group));
-      lock.lock();
-      continue;
-    }
-    batch_cv_.wait_until(lock, earliest,
-                         [this] { return flusher_stop_; });
-  }
-}
-
-void Executor::stop_flusher() {
-  if (!flusher_.joinable()) return;
-  {
-    std::lock_guard lock(batch_mutex_);
-    flusher_stop_ = true;
-  }
-  batch_cv_.notify_all();
-  flusher_.join();
-}
+      buffer_pool_(config.pool != nullptr ? config.pool : &util::BufferPool::global()) {}
 
 void Executor::finalize_request(const SubmitOptions& opts) noexcept {
   if (!opts.phases) return;
@@ -135,7 +77,6 @@ void Executor::finalize_request(const SubmitOptions& opts) noexcept {
 }
 
 Executor::~Executor() {
-  stop_flusher();  // flushes gathering batches so the drain below terminates
   constexpr auto kWarnAfter = std::chrono::seconds(2);
   if (!wait_idle_for(kWarnAfter)) {
     warn_drain_stalled(in_flight(), std::chrono::duration<double>(kWarnAfter).count());

@@ -1,9 +1,8 @@
 #pragma once
 /// \file executor.hpp
-/// \brief Batched async executor: a futures-based request front-end
-///        over `util::ThreadPool`, with admission control, per-request
-///        deadlines, cooperative cancellation, pooled scratch, and
-///        optional same-plan request batching.
+/// \brief Async executor: a futures-based request front-end over
+///        `util::ThreadPool`, with admission control, per-request
+///        deadlines, cooperative cancellation and pooled scratch.
 ///
 /// `try_submit(permuter, a, b, opts)` enqueues one permutation request.
 /// It never throws request-level failures, reporting them as a typed
@@ -35,22 +34,6 @@
 /// `kResourceExhausted`, and the `pool.exhausted` fault site injects
 /// exactly that pressure for chaos runs.
 ///
-/// **Same-plan batching** (Config::batch, off by default). Requests
-/// that share a compiled scheduled plan are gathered — up to
-/// `max_batch` of them, for at most `max_delay` — and executed as one
-/// multi-lane `core::scheduled_cpu_sweep`: five thread-pool
-/// fork/joins per *batch* instead of per request, the serving-side
-/// image of the paper's batching lemma (many permutations along the
-/// same plan amortize to optimal cost). Batching is invisible to
-/// callers: each request keeps its own future, deadline, cancel token,
-/// and phase breakdown, and a request gated off mid-batch (deadline or
-/// cancel) leaves the rest of its batch unaffected. Requests are
-/// admitted *before* gathering, so the in-flight bound keeps its
-/// meaning; a full group flushes immediately, a partial one when its
-/// gather window expires (a dedicated flusher thread owns the timer).
-/// Conventional-strategy requests and multi-stage programs bypass
-/// gathering entirely.
-///
 /// Requests drain onto the shared thread pool via
 /// `ThreadPool::submit_task`; each request then fans its kernels out
 /// on the same pool (`parallel_for` help-drains when called from a
@@ -73,13 +56,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/permuter.hpp"
-#include "core/scheduled.hpp"
 #include "runtime/cancel.hpp"
 #include "runtime/fault_injector.hpp"
 #include "runtime/metrics.hpp"
@@ -109,40 +89,6 @@ class Executor {
     kReject,  ///< fail fast with kResourceExhausted
   };
 
-  /// Same-plan gathering bounds. Off by default: batching trades a
-  /// bounded gather delay for amortized fork/join cost, and that trade
-  /// is the operator's to make (`--batch-max` / `--batch-delay-us`).
-  struct BatchOptions {
-    /// Coalesce up to this many same-plan requests per kernel sweep.
-    /// <= 1 disables batching entirely (no flusher thread).
-    std::uint64_t max_batch = 1;
-    /// Longest a gathered request waits for companions before its
-    /// (partial) batch executes anyway.
-    std::chrono::microseconds max_delay{200};
-    /// Cache-residency budget for one fused sweep: input + output +
-    /// scratch across every lane. Lane counts are capped so the batch
-    /// fits (an unbatched request chains its five passes through a
-    /// cache-resident buffer trio; a batch that overflows the cache
-    /// loses that reuse and runs *slower* than sequential requests —
-    /// measured crossover is ~256 KiB/lane on a 1.5 MiB budget). When
-    /// the budget admits fewer than `kMinFusedLanes` lanes, the request
-    /// skips gathering entirely.
-    std::uint64_t cache_budget_bytes = 1536 << 10;
-    /// Below this many lanes the quad-unrolled fused kernels degrade to
-    /// the per-lane remainder path and amortize nothing; don't gather.
-    static constexpr std::uint64_t kMinFusedLanes = 4;
-
-    [[nodiscard]] bool enabled() const noexcept { return max_batch > 1; }
-
-    /// Largest worthwhile batch for requests of `lane_bytes` (input +
-    /// output + scratch for one lane); < kMinFusedLanes means "do not
-    /// batch this size at all".
-    [[nodiscard]] std::uint64_t lanes_for(std::uint64_t lane_bytes) const noexcept {
-      if (lane_bytes == 0) return max_batch;
-      return std::min<std::uint64_t>(max_batch, cache_budget_bytes / lane_bytes);
-    }
-  };
-
   struct Config {
     std::uint64_t max_in_flight = 0;  ///< 0 = unbounded
     Admission admission = Admission::kBlock;
@@ -150,8 +96,6 @@ class Executor {
     /// a rate-limited stderr line with their full phase breakdown.
     /// 0 = slow-request log disabled.
     std::chrono::milliseconds slow_log_threshold{0};
-    /// Same-plan request batching (see BatchOptions).
-    BatchOptions batch;
     /// Scratch buffer pool; nullptr = `util::BufferPool::global()`.
     util::BufferPool* pool = nullptr;
   };
@@ -178,10 +122,9 @@ class Executor {
       : Executor(pool, metrics, Config{}) {}
   Executor(util::ThreadPool& pool, ServiceMetrics* metrics, Config config);
 
-  /// Destruction flushes any gathering batches, joins the flusher, then
-  /// waits for every in-flight request (their tasks hold spans owned by
-  /// callers; letting them outlive the executor is fine, but draining
-  /// makes teardown ordering obvious). If draining stalls past a
+  /// Destruction waits for every in-flight request (their tasks hold
+  /// spans owned by callers; letting them outlive the executor is fine,
+  /// but draining makes teardown ordering obvious). If draining stalls past a
   /// threshold, a rate-limited warning names the number of requests
   /// still in flight — a stalled worker is otherwise invisible at
   /// teardown.
@@ -239,7 +182,7 @@ class Executor {
 
   /// Block until every submitted request has finished. Callers that
   /// keep futures can equivalently wait on those; this is the bulk
-  /// barrier for fire-and-forget batches.
+  /// barrier for fire-and-forget requests.
   void wait_idle();
 
   /// `wait_idle` with a timeout: returns true once idle, false if the
@@ -344,9 +287,9 @@ class Executor {
   }
 
   /// The one admission prologue: validate, refuse a request already
-  /// cancelled or expired, take an in-flight slot, then gather it into
-  /// a same-plan batch or enqueue the task body. `Stages` is one
-  /// permuter handle or a vector of them (see stage_view).
+  /// cancelled or expired, take an in-flight slot, then enqueue the
+  /// task body. `Stages` is one permuter handle or a vector of them
+  /// (see stage_view).
   template <class T, class Stages>
   StatusOr<std::future<Status>> submit_stages(Stages stages, std::span<const T> a,
                                               std::span<T> b, SubmitOptions opts) {
@@ -378,21 +321,6 @@ class Executor {
     if (!admitted.is_ok()) {
       finalize_request(opts);
       return admitted;
-    }
-
-    // Batched path: only one-stage scheduled-strategy requests coalesce
-    // (the conventional kernels are one launch already, there is
-    // nothing to amortize), and only when the cache budget admits a
-    // worthwhile lane count (see BatchOptions::cache_budget_bytes). The
-    // group key is the permuter object itself — the plan cache dedups
-    // compiled plans, so one hot plan is one address.
-    if (config_.batch.enabled() && view.size() == 1 &&
-        view[0]->strategy() == core::Strategy::kScheduled && view[0]->plan() != nullptr) {
-      const std::uint64_t lane_bytes = 3 * a.size() * sizeof(T);  // a + b + scratch
-      const std::uint64_t lanes = config_.batch.lanes_for(lane_bytes);
-      if (lanes >= BatchOptions::kMinFusedLanes) {
-        return enqueue_batched<T>(view[0], a, b, std::move(opts), depth, lanes);
-      }
     }
 
     // `view` may point into `stages`: it is dead once they move into
@@ -490,204 +418,6 @@ class Executor {
     return st;
   }
 
-  // --- Same-plan batching ------------------------------------------
-
-  /// One gathered request: everything run_batch needs to execute and
-  /// resolve it. Each item holds an admission slot from enqueue until
-  /// its resolution calls finish_one().
-  template <class T>
-  struct BatchItem {
-    std::span<const T> a;
-    std::span<T> b;
-    SubmitOptions opts;
-    std::chrono::steady_clock::time_point enqueued_at;
-    std::promise<Status> promise;
-  };
-
-  /// Type-erased gathering group so the flusher thread and map can
-  /// hold batches of any element type.
-  struct BatchGroupBase {
-    virtual ~BatchGroupBase() = default;
-    virtual void run(Executor& ex) = 0;
-    /// Resolve every item with `st` without executing (dispatch
-    /// failure during teardown or enqueue).
-    virtual void refuse_all(Executor& ex, const Status& st) noexcept = 0;
-    std::chrono::steady_clock::time_point flush_at;
-    /// Flush-at-full threshold for this group (max_batch, possibly
-    /// tightened by the cache budget for this plan's request size).
-    std::uint64_t full_count = 0;
-  };
-
-  template <class T>
-  struct BatchGroup final : BatchGroupBase {
-    std::shared_ptr<const core::OfflinePermuter<T>> permuter;
-    std::vector<BatchItem<T>> items;
-    void run(Executor& ex) override { ex.run_batch<T>(*this); }
-    void refuse_all(Executor& ex, const Status& st) noexcept override {
-      for (BatchItem<T>& item : items) {
-        if (ex.metrics_) ex.metrics_->record_execute(0, false);
-        ex.resolve_item<T>(item, st);
-      }
-    }
-  };
-
-  /// Gather an admitted request into its plan's group; flush the group
-  /// when it reaches max_batch (the flusher thread owns the max_delay
-  /// timer for partial groups). The item keeps its admission slot.
-  template <class T>
-  StatusOr<std::future<Status>> enqueue_batched(
-      std::shared_ptr<const core::OfflinePermuter<T>> h, std::span<const T> a, std::span<T> b,
-      SubmitOptions opts, std::uint64_t depth, std::uint64_t full_count) {
-    const auto enqueued_at = std::chrono::steady_clock::now();
-    std::promise<Status> promise;
-    std::future<Status> fut = promise.get_future();
-    const void* key = h.get();
-    std::shared_ptr<BatchGroupBase> full;
-    {
-      std::lock_guard lock(batch_mutex_);
-      std::shared_ptr<BatchGroupBase>& slot = gathering_[key];
-      if (!slot) {
-        auto group = std::make_shared<BatchGroup<T>>();
-        group->permuter = h;
-        group->flush_at = enqueued_at + config_.batch.max_delay;
-        group->full_count = full_count;
-        slot = std::move(group);
-        // A fresh group may move the earliest flush deadline forward.
-        batch_cv_.notify_all();
-      }
-      // The group under this key holds a shared_ptr to the permuter at
-      // address `key`, so the address cannot be recycled for a
-      // different (differently-typed) permuter while the group lives —
-      // the static downcast is sound.
-      auto* group = static_cast<BatchGroup<T>*>(slot.get());
-      group->items.push_back(
-          BatchItem<T>{a, b, std::move(opts), enqueued_at, std::move(promise)});
-      if (group->items.size() >= group->full_count) {
-        full = std::move(slot);
-        gathering_.erase(key);
-      }
-    }
-    if (full) dispatch_group(std::move(full));
-    if (metrics_) metrics_->record_submit(depth);
-    return fut;
-  }
-
-  /// Resolve one gathered item: flush its phases, fulfil its promise,
-  /// release its admission slot. Exactly once per item.
-  template <class T>
-  void resolve_item(BatchItem<T>& item, const Status& st) noexcept {
-    finalize_request(item.opts);
-    try {
-      item.promise.set_value(st);
-    } catch (...) {
-      // set_value only throws on a broken/satisfied promise; neither
-      // can happen here, but a batch must never die on one item.
-    }
-    finish_one();
-  }
-
-  /// Execute one gathered batch on a pool worker: per-item dequeue
-  /// checks, pooled scratch, one fused five-kernel sweep, per-item
-  /// resolution. Same checks, fault sites and Status mapping per item
-  /// as run_stages.
-  template <class T>
-  void run_batch(BatchGroup<T>& group) {
-    const core::OfflinePermuter<T>& h = *group.permuter;
-    const auto now = std::chrono::steady_clock::now();
-    util::Stopwatch clock;
-
-    // Dequeue-time checks, then scratch acquisition, per item. Items
-    // that fail here resolve immediately; survivors become lanes.
-    std::vector<core::BatchLane<T>> lanes;
-    std::vector<std::size_t> lane_items;
-    std::vector<util::PooledBuffer> scratches;
-    lanes.reserve(group.items.size());
-    lane_items.reserve(group.items.size());
-    scratches.reserve(group.items.size());
-    const std::uint64_t scratch_elems = h.scratch_elements();
-    for (std::size_t i = 0; i < group.items.size(); ++i) {
-      BatchItem<T>& item = group.items[i];
-      add_queue_wait(item.opts, item.enqueued_at, now);
-      if (!live(item.opts)) {
-        resolve_item<T>(item, stopped(item.opts, Boundary::kQueued));
-        continue;
-      }
-      const Status admitted = guarded([&]() -> Status {
-        inject_execute_faults();
-        // Node-local scratch: see the placement note in run_stages —
-        // every lane's scratch comes off the batch-running worker's
-        // node, so the whole fused batch stays on one socket.
-        util::PooledBuffer scratch = buffer_pool_->try_acquire(scratch_elems * sizeof(T));
-        if (!scratch.valid()) {
-          return Status(StatusCode::kResourceExhausted, "buffer pool cap exceeded");
-        }
-        core::BatchLane<T> lane;
-        lane.a = item.a;
-        lane.b = item.b;
-        lane.scratch = scratch.template as_span<T>(scratch_elems);
-        lane.gate = [&item] { return live(item.opts); };
-        lanes.push_back(std::move(lane));
-        lane_items.push_back(i);
-        scratches.push_back(std::move(scratch));
-        return Status::ok();
-      });
-      if (!admitted.is_ok()) {
-        if (metrics_) metrics_->record_execute(static_cast<std::uint64_t>(clock.nanos()), false);
-        resolve_item<T>(item, admitted);
-      }
-    }
-    if (lanes.empty()) return;
-
-    // One fused sweep. The observer fans each kernel's span into every
-    // lane still active during that kernel (a lane gated off at the
-    // boundary after kernel k was still active *during* k, and its
-    // `active` flag is cleared only after the observation).
-    const core::KernelObserver observer = [&lanes, &group, &lane_items](unsigned kernel,
-                                                                        std::uint64_t ns) {
-      for (std::size_t l = 0; l < lanes.size(); ++l) {
-        if (!lanes[l].active) continue;
-        PhaseBreakdown* phases = group.items[lane_items[l]].opts.phases.get();
-        if (phases) phases->add(phase_for_kernel(kernel), ns);
-      }
-    };
-    const Status sweep = guarded([&]() -> Status {
-      core::scheduled_cpu_sweep<T>(pool_, *h.plan(), lanes, observer);
-      return Status::ok();
-    });
-
-    const auto batch_ns = static_cast<std::uint64_t>(clock.nanos());
-    if (metrics_) metrics_->record_batch(lanes.size());
-
-    // Release every lane's scratch BEFORE resolving any promise: the
-    // instant the last item resolves, wait_idle() (and the destructor,
-    // and process exit behind it) may proceed, so nothing on this
-    // thread may touch the pool after that point. The released blocks
-    // are already hits for the next batch's acquires.
-    for (auto& lane : lanes) lane.scratch = {};
-    scratches.clear();
-
-    for (std::size_t l = 0; l < lanes.size(); ++l) {
-      BatchItem<T>& item = group.items[lane_items[l]];
-      // A lane gated off between kernels maps like the single path.
-      const Status st = !sweep.is_ok()      ? sweep
-                        : lanes[l].active ? Status::ok()
-                                          : stopped(item.opts, Boundary::kKernel);
-      if (metrics_) metrics_->record_execute(batch_ns, st.is_ok());
-      resolve_item<T>(item, st);
-    }
-  }
-
-  /// Hand a complete group to the pool. Failure to enqueue refuses
-  /// every item (typed, never thrown).
-  void dispatch_group(std::shared_ptr<BatchGroupBase> group);
-
-  /// The flusher thread body: sleeps until the earliest gather window
-  /// expires, flushes due groups; on stop, flushes everything left.
-  void flusher_loop();
-
-  /// Signal and join the flusher (idempotent).
-  void stop_flusher();
-
   /// Flush a request's phase breakdown into the per-phase histograms
   /// and, when armed and over threshold, the rate-limited slow log.
   void finalize_request(const SubmitOptions& opts) noexcept;
@@ -718,12 +448,6 @@ class Executor {
   std::mutex idle_mutex_;
   std::condition_variable idle_cv_;
 
-  // Batching state (untouched when Config::batch is disabled).
-  std::mutex batch_mutex_;
-  std::condition_variable batch_cv_;
-  std::unordered_map<const void*, std::shared_ptr<BatchGroupBase>> gathering_;
-  bool flusher_stop_ = false;  ///< guarded by batch_mutex_
-  std::thread flusher_;
 };
 
 }  // namespace hmm::runtime

@@ -120,10 +120,6 @@ MetricsSnapshot ServiceMetrics::snapshot() const {
   s.deadline_exceeded = deadline_exceeded_.load(std::memory_order_relaxed);
   s.degraded_executions = degraded_.load(std::memory_order_relaxed);
   s.build_retries = build_retries_.load(std::memory_order_relaxed);
-  s.batches_executed = batches_.load(std::memory_order_relaxed);
-  s.batched_requests = batched_requests_.load(std::memory_order_relaxed);
-  s.batch_size_p50 = batch_size_.quantile(0.50);
-  s.batch_size_max = batch_size_.max();
   s.programs_executed = programs_executed_.load(std::memory_order_relaxed);
   s.programs_fused = programs_fused_.load(std::memory_order_relaxed);
   s.programs_staged = programs_staged_.load(std::memory_order_relaxed);
@@ -175,14 +171,11 @@ void ServiceMetrics::reset() {
   deadline_exceeded_.store(0, std::memory_order_relaxed);
   degraded_.store(0, std::memory_order_relaxed);
   build_retries_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  batched_requests_.store(0, std::memory_order_relaxed);
   programs_executed_.store(0, std::memory_order_relaxed);
   programs_fused_.store(0, std::memory_order_relaxed);
   programs_staged_.store(0, std::memory_order_relaxed);
   programs_identity_.store(0, std::memory_order_relaxed);
   program_stages_.reset();
-  batch_size_.reset();
   execute_ns_.reset();
   for (auto& h : phase_ns_) h.reset();
 }
@@ -219,11 +212,6 @@ std::string MetricsSnapshot::to_json() const {
      << ",\"deadline_exceeded\":" << deadline_exceeded
      << ",\"degraded_executions\":" << degraded_executions
      << ",\"build_retries\":" << build_retries << "},"
-     << "\"batching\":{"
-     << "\"batches_executed\":" << batches_executed
-     << ",\"batched_requests\":" << batched_requests
-     << ",\"batch_size_p50\":" << batch_size_p50
-     << ",\"batch_size_max\":" << batch_size_max << "},"
      << "\"programs\":{"
      << "\"executed\":" << programs_executed << ",\"fused\":" << programs_fused
      << ",\"staged\":" << programs_staged << ",\"identity\":" << programs_identity
@@ -291,12 +279,6 @@ util::Table MetricsSnapshot::to_table() const {
   t.add_row({"degraded executions", util::format_count(degraded_executions)});
   t.add_row({"plan build retries", util::format_count(build_retries)});
   t.add_separator();
-  t.add_row({"batches executed", util::format_count(batches_executed)});
-  t.add_row({"batched requests", util::format_count(batched_requests)});
-  if (batches_executed > 0) {
-    t.add_row({"batch size p50/max", util::format_count(batch_size_p50) + " / " +
-                                         util::format_count(batch_size_max)});
-  }
   t.add_row({"programs executed", util::format_count(programs_executed)});
   if (programs_executed > 0) {
     t.add_row({"programs fused", util::format_count(programs_fused)});
@@ -352,9 +334,6 @@ std::string MetricsSnapshot::to_prometheus() const {
   counter("hmm_degraded_executions_total", "Requests served by the conventional fallback.",
           degraded_executions);
   counter("hmm_build_retries_total", "Transient plan-build failures retried.", build_retries);
-  counter("hmm_batches_executed_total", "Fused same-plan batch sweeps executed.", batches_executed);
-  counter("hmm_batched_requests_total", "Requests carried by fused batch sweeps.",
-          batched_requests);
   counter("hmm_programs_executed_total", "EXECUTE_PROGRAM requests accepted.", programs_executed);
   counter("hmm_programs_fused_total", "Programs served as one fused composite plan.",
           programs_fused);

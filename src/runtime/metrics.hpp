@@ -102,14 +102,6 @@ struct MetricsSnapshot {
   std::uint64_t deadline_exceeded = 0;   ///< resolved kDeadlineExceeded at any stage
   std::uint64_t degraded_executions = 0; ///< served via the conventional fallback
   std::uint64_t build_retries = 0;       ///< transient plan-build failures retried
-  // Same-plan batching (see Executor::BatchOptions). `batches_executed`
-  // counts fused kernel sweeps; `batched_requests` counts the requests
-  // those sweeps carried, so batched_requests / batches_executed is the
-  // realized amortization factor.
-  std::uint64_t batches_executed = 0;
-  std::uint64_t batched_requests = 0;
-  std::uint64_t batch_size_p50 = 0;
-  std::uint64_t batch_size_max = 0;
   // Programs (see runtime/program.hpp). `programs_executed` counts every
   // accepted EXECUTE_PROGRAM/submit_program; each is additionally one of
   // fused (one composite plan), staged (back-to-back stages), or
@@ -202,13 +194,6 @@ class ServiceMetrics {
     }
   }
 
-  /// One fused batch sweep executed, carrying `size` requests.
-  void record_batch(std::uint64_t size) noexcept {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batched_requests_.fetch_add(size, std::memory_order_relaxed);
-    batch_size_.record(size);
-  }
-
   /// How an accepted program was served (see runtime/program.hpp).
   enum class ProgramPath { kFused, kStaged, kIdentity };
 
@@ -271,14 +256,11 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> deadline_exceeded_{0};
   std::atomic<std::uint64_t> degraded_{0};
   std::atomic<std::uint64_t> build_retries_{0};
-  std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> batched_requests_{0};
   std::atomic<std::uint64_t> programs_executed_{0};
   std::atomic<std::uint64_t> programs_fused_{0};
   std::atomic<std::uint64_t> programs_staged_{0};
   std::atomic<std::uint64_t> programs_identity_{0};
   LogHistogram program_stages_;
-  LogHistogram batch_size_;
   LogHistogram execute_ns_;
   std::array<LogHistogram, kPhaseCount> phase_ns_;
 };

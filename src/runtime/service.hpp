@@ -94,10 +94,9 @@ class RobustPermuteService {
     /// straight through to the fallback / the caller).
     int max_build_retries = 2;
     /// Backoff before retry k is `base << k`, capped at
-    /// `retry_backoff_cap`, plus a deterministic jitter of up to the
+    /// `kRetryBackoffCapUs`, plus a deterministic jitter of up to the
     /// same amount (seeded: chaos runs replay).
     std::chrono::microseconds retry_backoff_base{200};
-    std::chrono::microseconds retry_backoff_cap{100'000};
     std::uint64_t retry_jitter_seed = 0x5eed5eed5eed5eedull;
     /// Serve via the conventional D-designated permuter when the
     /// scheduled plan is unavailable. Off = surface the build error.
@@ -263,6 +262,9 @@ class RobustPermuteService {
   [[nodiscard]] Executor& executor() noexcept { return executor_; }
   [[nodiscard]] const Config& config() const noexcept { return config_; }
 
+  /// Ceiling of the doubling part of a plan-build retry pause, µs.
+  static constexpr std::uint64_t kRetryBackoffCapUs = 100'000;
+
   /// The (deterministic) pause before plan-build retry `attempt`
   /// (0-based): d = min(base * 2^attempt, cap) plus jitter in [0, d)
   /// so synchronized failures fan out. The doublings stop at 20, as the
@@ -272,10 +274,8 @@ class RobustPermuteService {
                                                                      int attempt) noexcept {
     const auto base_us = static_cast<std::uint64_t>(
         std::max<std::int64_t>(0, config.retry_backoff_base.count()));
-    const auto cap_us = static_cast<std::uint64_t>(
-        std::max<std::int64_t>(0, config.retry_backoff_cap.count()));
     return std::chrono::microseconds(util::jittered_backoff_us(
-        base_us, cap_us, std::clamp(attempt, 0, 20), config.retry_jitter_seed,
+        base_us, kRetryBackoffCapUs, std::clamp(attempt, 0, 20), config.retry_jitter_seed,
         static_cast<std::uint64_t>(attempt) + 1));
   }
 

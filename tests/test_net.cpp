@@ -673,28 +673,35 @@ TEST(NetLoopback, StatsReturnsMetricsJson) {
 }
 
 TEST(NetLoopback, StatsReportStrategyChoicesAndSweepCalibrations) {
-  net::Server::Config server_config;
-  server_config.strategy = core::Strategy::kScheduled;
-  Loopback loop(runtime::RobustPermuteService::Config{}, server_config);
+  Loopback loop;
   net::Client client(loop.client_config());
   const perm::Permutation p = perm::by_name("random", 4096, 12);
   auto id = client.submit_plan(p);
   ASSERT_TRUE(id.ok());
+  // The served build is measured: it files the host's sweep
+  // calibration for 2^12 x u32 and resolves to the sweep or the gather.
   ASSERT_TRUE(permute_matches(client, id.value(), p));
-  // A measured build files the host's sweep calibration for 2^12 x u32.
-  (void)core::OfflinePermuter<std::uint32_t>(p);
 
+  const runtime::MetricsSnapshot snap = loop.service.metrics().snapshot();
+  EXPECT_EQ(snap.built_scheduled + snap.built_s_designated, 1u);
+  EXPECT_EQ(snap.built_d_designated, 0u);
+  const std::string built = snap.built_scheduled == 1 ? "scheduled" : "s-designated";
   auto stats = client.stats_json();
   ASSERT_TRUE(stats.ok()) << stats.status().to_string();
   const std::string& json = stats.value();
-  EXPECT_NE(json.find("\"built_scheduled\":1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"built_s_designated\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"built_scheduled\":" + std::to_string(snap.built_scheduled)),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find("\"built_s_designated\":" + std::to_string(snap.built_s_designated)),
+            std::string::npos)
+      << json;
   EXPECT_NE(json.find("{\"log2_n\":12,\"elem_bytes\":4,\"width\":32,\"sweep_ns\":"),
             std::string::npos)
       << json;
 
-  const std::string prom = loop.service.metrics().snapshot().to_prometheus();
-  EXPECT_NE(prom.find("hmm_plans_built_total{strategy=\"scheduled\"} 1"), std::string::npos);
+  const std::string prom = snap.to_prometheus();
+  EXPECT_NE(prom.find("hmm_plans_built_total{strategy=\"" + built + "\"} 1"), std::string::npos)
+      << prom;
   EXPECT_NE(prom.find("hmm_sweep_calibration_seconds{log2_n=\"12\",elem_bytes=\"4\",width=\"32\"}"),
             std::string::npos)
       << prom;
@@ -1404,60 +1411,6 @@ TEST(NetLoopback, SteadyStatePermuteIsPoolMissFree) {
   for (std::uint64_t i = 0; i < n; ++i) ASSERT_EQ(b[p(i)], a[i]);
 }
 
-TEST(NetLoopback, BatchedServerMatchesLocalApplyAndExecutesBatches) {
-  // Four concurrent clients against a batching server: the gather
-  // window is generous, so the four requests coalesce into fused
-  // sweeps; outputs must still match the local apply per client.
-  const std::uint64_t n = 1 << 13;
-  runtime::RobustPermuteService::Config config;
-  config.executor.batch.max_batch = 4;
-  config.executor.batch.max_delay = std::chrono::milliseconds(500);
-  net::Server::Config server_config;
-  server_config.strategy = core::Strategy::kScheduled;  // only scheduled plans batch
-  Loopback loop(config, server_config);
-  const perm::Permutation p = perm::bit_reversal(n);
-
-  std::uint64_t plan_id = 0;
-  {
-    net::Client setup(loop.client_config());
-    auto plan = setup.submit_plan(p);
-    ASSERT_TRUE(plan.ok()) << plan.status().to_string();
-    plan_id = plan.value();
-  }
-
-  constexpr int kClients = 4;
-  constexpr int kRounds = 3;
-  std::vector<Status> outcomes(kClients, Status::ok());
-  std::vector<std::vector<std::uint32_t>> inputs(kClients), outputs(kClients);
-  std::vector<std::thread> clients;
-  clients.reserve(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    inputs[c].resize(n);
-    outputs[c].resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      inputs[c][i] = static_cast<std::uint32_t>(i * (c + 1));
-    }
-    clients.emplace_back([&, c] {
-      net::Client client(loop.client_config());
-      for (int r = 0; r < kRounds; ++r) {
-        const Status s = client.permute(plan_id, {inputs[c].data(), n}, {outputs[c].data(), n});
-        if (!s.is_ok()) {
-          outcomes[c] = s;
-          return;
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-  for (int c = 0; c < kClients; ++c) {
-    ASSERT_TRUE(outcomes[c].is_ok()) << "client " << c << ": " << outcomes[c].to_string();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      ASSERT_EQ(outputs[c][p(i)], inputs[c][i]) << "client " << c << " diverged at " << i;
-    }
-  }
-  EXPECT_GE(loop.service.metrics().snapshot().batches_executed, 1u);
-}
-
 // --------------------------------------------- reactor connection scale
 
 /// Raise the process fd soft limit so the high-connection tests can run
@@ -2057,9 +2010,10 @@ TEST(JitteredBackoff, SchedulesArePinned) {
         [&](int attempt) { return net::Client::retry_backoff(client, attempt).count(); });
   check("router", std::chrono::microseconds(router.failover_backoff_cap).count(),
         [&](int attempt) { return net::Router::failover_pause(router, attempt, 0x1234).count(); });
-  check("service", service.retry_backoff_cap.count(), [&](int attempt) {
-    return runtime::RobustPermuteService::backoff_with_jitter(service, attempt).count();
-  });
+  check("service", static_cast<std::int64_t>(runtime::RobustPermuteService::kRetryBackoffCapUs),
+        [&](int attempt) {
+          return runtime::RobustPermuteService::backoff_with_jitter(service, attempt).count();
+        });
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 /// Tests for the permutation service runtime (src/runtime/): plan-key
-/// fingerprints, LRU plan cache, batched async executor, and metrics.
+/// fingerprints, LRU plan cache, async executor, and metrics.
 
 #include <gtest/gtest.h>
 
@@ -834,234 +834,6 @@ TEST(Executor, ConventionalRequestRecordsTheConventionalPhase) {
   EXPECT_EQ(snap.phase(Phase::kKernelConventional).count, 1u);
   EXPECT_EQ(snap.phase(Phase::kKernelRowPass1).count, 0u);
   EXPECT_EQ(snap.phase(Phase::kQueueWait).count, 1u);
-}
-
-// ------------------------------------------------------- same-plan batching
-
-/// Batched config: gather up to `batch` same-plan requests, with a
-/// window long enough that full batches always flush at-full (keeps
-/// the tests deterministic) but short enough that a logic bug degrades
-/// to a slow pass instead of a hang.
-runtime::Executor::Config batched_config(std::uint64_t batch,
-                                         std::chrono::microseconds delay =
-                                             std::chrono::milliseconds(500)) {
-  runtime::Executor::Config config;
-  config.batch.max_batch = batch;
-  config.batch.max_delay = delay;
-  return config;
-}
-
-/// Submits `count` same-plan requests to a batching executor and
-/// checks every output is bit-identical to the serial permute of the
-/// same input. Returns the metrics delta of batches executed.
-template <class T>
-void expect_batched_matches_serial(std::uint64_t n) {
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  runtime::Executor executor(util::ThreadPool::global(), &metrics, batched_config(8));
-
-  const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<T>(p, mp, core::Strategy::kScheduled);
-
-  constexpr std::uint64_t kRequests = 8;
-  std::vector<util::aligned_vector<T>> as(kRequests), bs(kRequests), expects(kRequests);
-  core::OfflinePermuter<T> serial(p, mp, core::Strategy::kScheduled);
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    as[r].resize(n);
-    bs[r].resize(n);
-    expects[r].resize(n);
-    for (std::uint64_t i = 0; i < n; ++i) as[r][i] = static_cast<T>(i * 3 + r);
-    serial.permute(std::span<const T>(as[r].data(), n), std::span<T>(expects[r].data(), n));
-  }
-
-  std::vector<std::future<runtime::Status>> futs;
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    auto submitted = executor.try_submit<T>(h, std::span<const T>(as[r].data(), n),
-                                            std::span<T>(bs[r].data(), n));
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    futs.push_back(std::move(submitted).value());
-  }
-  for (auto& f : futs) ASSERT_TRUE(f.get().is_ok());
-  executor.wait_idle();
-
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    ASSERT_EQ(0, std::memcmp(bs[r].data(), expects[r].data(), n * sizeof(T)))
-        << "request " << r << " diverged from the serial permute";
-  }
-  const auto snap = metrics.snapshot();
-  EXPECT_GE(snap.batches_executed, 1u);
-  EXPECT_EQ(snap.batched_requests, kRequests);
-  EXPECT_EQ(snap.completed, kRequests);
-  EXPECT_EQ(snap.failed, 0u);
-}
-
-TEST(ExecutorBatching, BatchedOutputBitIdenticalUint32) {
-  expect_batched_matches_serial<std::uint32_t>(1 << 12);
-}
-
-TEST(ExecutorBatching, BatchedOutputBitIdenticalFloat) {
-  expect_batched_matches_serial<float>(1 << 12);
-}
-
-TEST(ExecutorBatching, BatchedOutputBitIdenticalDouble) {
-  expect_batched_matches_serial<double>(1 << 12);
-}
-
-TEST(ExecutorBatching, PartialBatchFlushesOnGatherWindow) {
-  // Fewer requests than max_batch: nothing ever fills the group, so
-  // completion proves the flusher's max_delay timer fires.
-  const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  runtime::Executor executor(util::ThreadPool::global(), &metrics,
-                             batched_config(32, std::chrono::milliseconds(2)));
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
-
-  constexpr std::uint64_t kRequests = 5;
-  std::vector<util::aligned_vector<float>> as(kRequests), bs(kRequests);
-  std::vector<std::future<runtime::Status>> futs;
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    as[r] = test::iota_data<float>(n);
-    bs[r].resize(n);
-    auto submitted = executor.try_submit<float>(h, std::span<const float>(as[r].data(), n),
-                                                std::span<float>(bs[r].data(), n));
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    futs.push_back(std::move(submitted).value());
-  }
-  for (auto& f : futs) ASSERT_TRUE(f.get().is_ok());
-  executor.wait_idle();
-  const auto snap = metrics.snapshot();
-  EXPECT_GE(snap.batches_executed, 1u);
-  EXPECT_EQ(snap.batched_requests, kRequests);
-}
-
-TEST(ExecutorBatching, CancelledItemResolvesWithoutDisturbingItsBatch) {
-  const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  // Window long enough that the batch only flushes when it fills.
-  runtime::Executor executor(util::ThreadPool::global(), &metrics,
-                             batched_config(8, std::chrono::seconds(2)));
-  const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<float>(p, mp, core::Strategy::kScheduled);
-
-  constexpr std::uint64_t kRequests = 8;
-  constexpr std::uint64_t kVictim = 3;
-  runtime::CancelSource cancel;
-  std::vector<util::aligned_vector<float>> as(kRequests), bs(kRequests);
-  std::vector<std::future<runtime::Status>> futs;
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    as[r] = test::iota_data<float>(n);
-    bs[r].resize(n);
-    runtime::Executor::SubmitOptions opts;
-    if (r == kVictim) opts.cancel = cancel.token();
-    if (r == kRequests - 2) {
-      // Cancel the victim while it sits gathered in the group: the
-      // token is only consulted again at batch dequeue.
-      cancel.request_cancel();
-    }
-    auto submitted = executor.try_submit<float>(h, std::span<const float>(as[r].data(), n),
-                                                std::span<float>(bs[r].data(), n), opts);
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    futs.push_back(std::move(submitted).value());
-  }
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    const runtime::Status st = futs[r].get();
-    if (r == kVictim) {
-      EXPECT_EQ(st.code(), runtime::StatusCode::kCancelled) << st.to_string();
-    } else {
-      EXPECT_TRUE(st.is_ok()) << "request " << r << ": " << st.to_string();
-      for (std::uint64_t i = 0; i < n; i += 997) ASSERT_EQ(bs[r][p(i)], as[r][i]);
-    }
-  }
-  executor.wait_idle();
-  EXPECT_GE(metrics.snapshot().cancelled, 1u);
-}
-
-TEST(ExecutorBatching, DeadlineExpiredWhileGatheredResolvesPerRequest) {
-  const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  runtime::Executor executor(util::ThreadPool::global(), &metrics,
-                             batched_config(8, std::chrono::seconds(2)));
-  const perm::Permutation p = perm::bit_reversal(n);
-  auto h = cache.acquire<float>(p, mp, core::Strategy::kScheduled);
-
-  constexpr std::uint64_t kRequests = 8;
-  constexpr std::uint64_t kVictim = 0;
-  std::vector<util::aligned_vector<float>> as(kRequests), bs(kRequests);
-  std::vector<std::future<runtime::Status>> futs;
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    as[r] = test::iota_data<float>(n);
-    bs[r].resize(n);
-    runtime::Executor::SubmitOptions opts;
-    if (r == kVictim) {
-      opts.deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
-    }
-    auto submitted = executor.try_submit<float>(h, std::span<const float>(as[r].data(), n),
-                                                std::span<float>(bs[r].data(), n), opts);
-    ASSERT_TRUE(submitted.ok()) << submitted.status().to_string();
-    futs.push_back(std::move(submitted).value());
-    if (r == kVictim) {
-      // Let the victim's deadline lapse inside the gather window.
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  for (std::uint64_t r = 0; r < kRequests; ++r) {
-    const runtime::Status st = futs[r].get();
-    if (r == kVictim) {
-      EXPECT_EQ(st.code(), runtime::StatusCode::kDeadlineExceeded) << st.to_string();
-    } else {
-      EXPECT_TRUE(st.is_ok()) << "request " << r << ": " << st.to_string();
-    }
-  }
-  executor.wait_idle();
-  EXPECT_GE(metrics.snapshot().deadline_exceeded, 1u);
-}
-
-TEST(ExecutorBatching, ConventionalStrategyBypassesGathering) {
-  const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  runtime::Executor executor(util::ThreadPool::global(), &metrics, batched_config(8));
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kSDesignated);
-  const auto a = test::iota_data<float>(n);
-  util::aligned_vector<float> b(n);
-  for (int r = 0; r < 4; ++r) {
-    auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
-                                                std::span<float>(b.data(), n));
-    ASSERT_TRUE(submitted.ok());
-    ASSERT_TRUE(std::move(submitted).value().get().is_ok());
-  }
-  executor.wait_idle();
-  EXPECT_EQ(metrics.snapshot().batches_executed, 0u);
-}
-
-TEST(ExecutorBatching, CacheBudgetSkipsGatheringForOversizeRequests) {
-  // Lane working set (a + b + scratch) above cache_budget_bytes /
-  // kMinFusedLanes: the request must take the unbatched path — fused
-  // sweeps that overflow the cache run slower than sequential ones.
-  const std::uint64_t n = 1 << 12;
-  const MachineParams mp = MachineParams::gtx680();
-  runtime::ServiceMetrics metrics;
-  runtime::PlanCache cache(runtime::PlanCache::Config{}, &metrics);
-  runtime::Executor::Config config = batched_config(8);
-  config.batch.cache_budget_bytes = 3 * n * sizeof(float);  // exactly one lane
-  runtime::Executor executor(util::ThreadPool::global(), &metrics, config);
-  auto h = cache.acquire<float>(perm::bit_reversal(n), mp, core::Strategy::kScheduled);
-  const auto a = test::iota_data<float>(n);
-  util::aligned_vector<float> b(n);
-  auto submitted = executor.try_submit<float>(h, std::span<const float>(a.data(), n),
-                                              std::span<float>(b.data(), n));
-  ASSERT_TRUE(submitted.ok());
-  ASSERT_TRUE(std::move(submitted).value().get().is_ok());
-  executor.wait_idle();
-  EXPECT_EQ(metrics.snapshot().batches_executed, 0u);
 }
 
 // --------------------------------------------------- pooled executor scratch

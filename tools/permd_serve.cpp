@@ -22,26 +22,14 @@
 ///               [--duration-s 0]
 ///               [--metrics-json <path>] [--json]
 ///               [--prom-file <path>] [--slow-ms 0]
-///               [--batch-max 1] [--batch-delay-us 200]
-///               [--strategy measured]
 ///               [--fault-rate 0.0] [--fault-seed 1]
 ///               [--fault-sites plan_cache.build] [--fault-stall-ms 50]
-///
-/// `--strategy` picks how PERMUTE and EXECUTE_PROGRAM plans run:
-/// `measured` (default) times the gather against the host's five-pass
-/// sweep per plan; `scheduled`, `s-designated`, `d-designated` force
-/// one algorithm; `auto` applies the paper's HMM cost model. Only
-/// scheduled plans batch and report the five kernel phases.
 ///
 /// `--io-threads N` sets the number of epoll reactor threads that own
 /// the connections (nonblocking frame assembly + response flushing);
 /// idle connections cost a map entry, not a thread, so the default of
 /// 2 carries 10k+ connections. `--handler-threads N` bounds concurrent
 /// request execution (0 = auto: 2 x hardware threads).
-///
-/// `--batch-max N` (N > 1) turns on same-plan request batching in the
-/// executor: up to N queued PERMUTEs that share a compiled plan run as
-/// one fused kernel sweep, gathered for at most `--batch-delay-us`.
 ///
 /// `--prom-file` rewrites the Prometheus text exposition roughly once
 /// per second while serving (textfile-collector style) and once more
@@ -58,7 +46,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 
@@ -89,22 +76,14 @@ int main(int argc, char** argv) {
                          "max-connections", "max-payload-mb", "io-threads", "handler-threads",
                          "io-timeout-ms",
                          "idle-timeout-ms", "shard-exchange-timeout-ms", "duration-s",
-                         "metrics-json", "json", "prom-file", "slow-ms", "batch-max",
-                         "batch-delay-us", "strategy", "fault-rate", "fault-seed",
-                         "fault-sites", "fault-stall-ms"},
+                         "metrics-json", "json", "prom-file", "slow-ms", "fault-rate",
+                         "fault-seed", "fault-sites", "fault-stall-ms"},
                         std::cerr)) {
     return 2;
   }
   const std::string host = cli.get("host", "127.0.0.1");
   const auto port = static_cast<std::uint16_t>(cli.get_int("port", 0));
   const std::string port_file = cli.get("port-file");
-  const std::optional<core::Strategy> strategy =
-      core::parse_strategy(cli.get("strategy", "measured"));
-  if (!strategy) {
-    std::cerr << "permd_serve: --strategy must be one of measured, auto, scheduled, "
-                 "s-designated, d-designated\n";
-    return 2;
-  }
   const std::uint64_t cache_bytes =
       static_cast<std::uint64_t>(cli.get_int("cache-mb", 64)) << 20;
   const std::uint64_t max_in_flight =
@@ -122,8 +101,6 @@ int main(int argc, char** argv) {
   const bool json = cli.get_bool("json");
   const std::string prom_file = cli.get("prom-file");
   const std::int64_t slow_ms = cli.get_int("slow-ms", 0);
-  const std::int64_t batch_max = cli.get_int("batch-max", 1);
-  const std::int64_t batch_delay_us = cli.get_int("batch-delay-us", 200);
   const double fault_rate = cli.get_double("fault-rate", 0.0);
   const std::uint64_t fault_seed = static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
   const std::string fault_sites =
@@ -156,10 +133,6 @@ int main(int argc, char** argv) {
   if (slow_ms > 0) {
     service_config.executor.slow_log_threshold = std::chrono::milliseconds(slow_ms);
   }
-  if (batch_max > 1) {
-    service_config.executor.batch.max_batch = static_cast<std::uint32_t>(batch_max);
-    service_config.executor.batch.max_delay = std::chrono::microseconds(batch_delay_us);
-  }
   runtime::RobustPermuteService service(pool, service_config);
 
   net::Server::Config server_config;
@@ -171,7 +144,6 @@ int main(int argc, char** argv) {
   server_config.handler_threads = handler_threads;
   server_config.io_timeout = std::chrono::milliseconds(io_timeout_ms);
   server_config.idle_timeout = std::chrono::milliseconds(idle_timeout_ms);
-  server_config.strategy = *strategy;
   server_config.shard_exchange_timeout =
       std::chrono::milliseconds(cli.get_int("shard-exchange-timeout-ms", 10'000));
   net::Server server(service, server_config);
@@ -182,11 +154,7 @@ int main(int argc, char** argv) {
   }
   std::cout << "permd_serve: listening on " << host << ":" << server.port() << "  (io="
             << io_threads << " reactors, pool=" << pool.size()
-            << " threads, cache=" << util::format_bytes(cache_bytes)
-            << ", strategy=" << core::to_string(*strategy);
-  if (batch_max > 1) {
-    std::cout << ", batching max=" << batch_max << " delay=" << batch_delay_us << "us";
-  }
+            << " threads, cache=" << util::format_bytes(cache_bytes);
   if (fault_rate > 0.0) {
     std::cout << ", chaos rate=" << fault_rate << " seed=" << fault_seed;
   }
